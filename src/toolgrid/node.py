@@ -44,7 +44,7 @@ from .groups import (PUBLIC, GroupKey, announcement_slot, decrypt_announcement,
 from .store import RunStore
 from .tools import ExecutionOutcome, ToolDescriptor, execute_tool, parse_descriptor
 from .values import Datum, DatumType, datum_from_json
-from .wire import Frame, FrameReader, chunk_blob, encode_frame
+from .wire import Frame, FrameReader, chunk_frames, encode_frame
 from .workflow import (ComponentInstance, ComponentInterface, ComponentRef,
                        Diagnostic, Endpoint, WorkflowGraph, parse_workflow,
                        plan_placement, serialize_workflow, validate_graph)
@@ -173,33 +173,123 @@ class Registry:
         return out
 
 
-# -- peer sessions ------------------------------------------------------------------
+# -- channels -----------------------------------------------------------------------
 
 
-class PeerSession:
-    """One framed LAN connection; symmetric after the HELLO exchange."""
+class Channel:
+    """Request plumbing shared by LAN sessions and the relay uplink.
 
-    def __init__(self, node: "Node", sock: socket.socket):
+    Request-scoped frames (anything carrying a request_id) get routed to a
+    queue owned by whichever side is waiting on that request. Closing the
+    channel puts None into every pending queue, so no waiter outlives the
+    connection. Subclasses say which requests they serve and whose
+    announcements they admit; Node._on_frame does the rest.
+    """
+
+    SERVES: frozenset = frozenset()  # inbound request types handed to workers
+
+    def __init__(self, node: "Node", sock: Optional[socket.socket] = None):
         self._node = node
         self._sock = sock
         self._wlock = threading.Lock()
         self._plock = threading.Lock()
         self._pending: dict[str, SimpleQueue] = {}
+
+    def send(self, frame: Frame) -> bool:
+        sock = self._sock
+        if sock is None:
+            return False
+        try:
+            data = encode_frame(frame)
+            with self._wlock:
+                sock.sendall(data)
+            return True
+        except (OSError, ToolgridError):
+            self.close()
+            return False
+
+    def request_queue(self, request_id: str) -> SimpleQueue:
+        with self._plock:
+            queue = self._pending.get(request_id)
+            if queue is None:
+                queue = self._pending[request_id] = SimpleQueue()
+                if self._sock is None:
+                    queue.put(None)  # already closed: nothing will arrive
+            return queue
+
+    def push(self, request_id: str, frame: Frame) -> bool:
+        with self._plock:
+            queue = self._pending.get(request_id)
+        if queue is None:
+            return False
+        queue.put(frame)
+        return True
+
+    def drop_queue(self, request_id: str) -> None:
+        with self._plock:
+            self._pending.pop(request_id, None)
+
+    def request(self, frame_type: int, body: Mapping,
+                timeout: float) -> Optional[Frame]:
+        """Send a request that has one reply and wait for it.
+
+        Returns None if the channel closes first; raises NetworkError when
+        no reply arrives within ``timeout``.
+        """
+        request_id = uuid.uuid4().hex
+        queue = self.request_queue(request_id)
+        try:
+            if not self.send(Frame(frame_type, dict(body, request_id=request_id))):
+                return None
+            return _await(queue, time.monotonic() + timeout)
+        finally:
+            self.drop_queue(request_id)
+
+    def admit(self, body: Mapping, *, tombstone: bool) -> None:
+        """Apply an ANNOUNCE or RETRACT if this channel may carry it."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Shut the socket and wake every pending request with None."""
+        with self._plock:
+            sock, self._sock = self._sock, None
+            queues = list(self._pending.values())
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                sock.close()
+            except OSError:
+                pass
+        for queue in queues:
+            queue.put(None)
+
+
+class PeerSession(Channel):
+    """One framed LAN connection; symmetric after the HELLO exchange."""
+
+    SERVES = frozenset({wire.EXEC_REQUEST, wire.DOC_REQUEST,
+                        wire.RUN_SUBMIT, wire.DATA_QUERY})
+
+    def __init__(self, node: "Node", sock: socket.socket):
+        super().__init__(node, sock)
         self._reader: Optional[FrameReader] = None
         self._thread: Optional[threading.Thread] = None
         self.peer_node_id = ""
         self.peer_display_name = ""
-        self.closed = threading.Event()
 
     def handshake(self) -> None:
         """Both ends send HELLO first, then read the other's."""
-        self._sock.settimeout(HANDSHAKE_TIMEOUT)
+        sock = self._sock
+        sock.settimeout(HANDSHAKE_TIMEOUT)
         self.send(Frame(wire.HELLO, {
             "protocol_version": PROTOCOL_VERSION,
             "node_id": self._node.node_id,
             "display_name": self._node.display_name,
         }))
-        self._reader = FrameReader(self._sock.recv)
+        self._reader = FrameReader(sock.recv)
         try:
             frame = self._reader.next_frame()
         except ToolgridError as exc:
@@ -224,7 +314,7 @@ class PeerSession:
             raise NetworkError("BAD_HANDSHAKE", "hello carries no node_id")
         self.peer_node_id = node_id
         self.peer_display_name = str(body.get("display_name", ""))
-        self._sock.settimeout(None)
+        sock.settimeout(None)
 
     def start_reader(self) -> None:
         self._thread = threading.Thread(target=self._reader_loop, daemon=True,
@@ -233,64 +323,26 @@ class PeerSession:
 
     def _reader_loop(self) -> None:
         try:
-            while not self.closed.is_set():
+            while self._sock is not None:
                 frame = self._reader.next_frame()
                 if frame is None:
                     break
-                self._node._on_peer_frame(self, frame)
+                self._node._on_frame(self, frame)
         except (ToolgridError, OSError):
             pass
         finally:
             self.close()
 
-    def send(self, frame: Frame) -> bool:
-        try:
-            data = encode_frame(frame)
-            with self._wlock:
-                self._sock.sendall(data)
-            return True
-        except (OSError, ToolgridError):
-            self.close()
-            return False
-
-    # Request-scoped frames (anything carrying a request_id) get routed to a
-    # queue owned by whichever side is waiting on that request.
-
-    def request_queue(self, request_id: str) -> SimpleQueue:
-        with self._plock:
-            queue = self._pending.get(request_id)
-            if queue is None:
-                queue = self._pending[request_id] = SimpleQueue()
-            return queue
-
-    def push(self, request_id: str, frame: Frame) -> bool:
-        with self._plock:
-            queue = self._pending.get(request_id)
-        if queue is None:
-            return False
-        queue.put(frame)
-        return True
-
-    def drop_queue(self, request_id: str) -> None:
-        with self._plock:
-            self._pending.pop(request_id, None)
+    def admit(self, body: Mapping, *, tombstone: bool) -> None:
+        # a LAN peer speaks only for itself
+        if body.get("publisher") != self.peer_node_id:
+            log.warning("peer %s announced under a foreign id, dropping",
+                        self.peer_node_id[:8])
+            return
+        self._node.registry.apply(body, tombstone=tombstone)
 
     def close(self) -> None:
-        if self.closed.is_set():
-            return
-        self.closed.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        with self._plock:
-            queues = list(self._pending.values())
-        for queue in queues:
-            queue.put(None)
+        super().close()
         self._node._session_closed(self)
 
 
@@ -345,11 +397,6 @@ class _Publication:
         return PUBLIC if self.group_key is None else self.group_key.key_id
 
 
-@dataclass
-class _Watcher:
-    callback: Callable[[dict], None]
-
-
 class _NodeCatalog:
     """Resolves builtins, installed descriptors, then remote announcements."""
 
@@ -392,7 +439,7 @@ class Node:
         self._sessions: list[PeerSession] = []
         self._by_peer: dict[str, PeerSession] = {}
         self._runs: dict[str, Engine] = {}
-        self._watchers: dict[str, list[_Watcher]] = {}
+        self._watchers: dict[str, list[Callable[[dict], None]]] = {}
         self._announce_seq = 0
         self._clock = MsClock()
         self._pool = ThreadPoolExecutor(max_workers=16,
@@ -624,17 +671,11 @@ class Node:
         session = self.session_for(node_id)
         if session is None:
             return False
-        request_id = uuid.uuid4().hex
-        queue = session.request_queue(request_id)
         try:
-            if not session.send(Frame(wire.PING, {"request_id": request_id})):
-                return False
-            frame = _await(queue, time.monotonic() + timeout)
-            return frame is not None and frame.type == wire.PONG
+            frame = session.request(wire.PING, {}, timeout)
         except NetworkError:
             return False
-        finally:
-            session.drop_queue(request_id)
+        return frame is not None and frame.type == wire.PONG
 
     def stop(self) -> None:
         self._stopping = True
@@ -653,68 +694,60 @@ class Node:
 
     # -- inbound frames ------------------------------------------------------------
 
-    def _on_peer_frame(self, session: PeerSession, frame: Frame) -> None:
+    def _on_frame(self, channel: Channel, frame: Frame) -> None:
         body = frame.body or {}
         if frame.type == wire.PING:
-            session.send(Frame(wire.PONG, body or None))
+            channel.send(Frame(wire.PONG, body or None))
             return
         request_id = body.get("request_id")
-        if isinstance(request_id, str) and session.push(request_id, frame):
+        if isinstance(request_id, str) and channel.push(request_id, frame):
             return
-        if frame.type == wire.ANNOUNCE:
-            if body.get("publisher") != session.peer_node_id:
-                log.warning("peer %s announced under a foreign id, dropping",
-                            session.peer_node_id[:8])
-                return
-            self.registry.apply(body, tombstone=False)
-        elif frame.type == wire.RETRACT:
-            if body.get("publisher") != session.peer_node_id:
-                return
-            self.registry.apply(body, tombstone=True)
+        if frame.type in (wire.ANNOUNCE, wire.RETRACT):
+            channel.admit(body, tombstone=frame.type == wire.RETRACT)
         elif frame.type == wire.LIST:
             for announcement in self.announcement_frames():
-                session.send(announcement)
-        elif frame.type in (wire.EXEC_REQUEST, wire.DOC_REQUEST,
-                            wire.RUN_SUBMIT, wire.DATA_QUERY):
+                channel.send(announcement)
+        elif frame.type in channel.SERVES:
             if not isinstance(request_id, str) or not request_id:
-                session.send(Frame(wire.ERROR, {
-                    "code": "BAD_REQUEST", "message": "request without id"}))
+                log.warning("%s without request_id, dropping",
+                            wire.type_name(frame.type))
                 return
             # Open the routing queue before the worker starts so chunks that
             # follow immediately are buffered, never raced.
-            session.request_queue(request_id)
-            self._pool.submit(self._serve_request, session, frame)
+            queue = channel.request_queue(request_id)
+            self._pool.submit(self._serve_request, channel, frame, queue)
         elif frame.type == wire.ERROR:
-            log.warning("peer %s error: %s", session.peer_node_id[:8], body)
+            log.warning("error from %s: %s", type(channel).__name__, body)
         # stray response frames for finished requests fall through silently
 
-    def _serve_request(self, session: PeerSession, frame: Frame) -> None:
+    def _serve_request(self, channel: Channel, frame: Frame,
+                       queue: SimpleQueue) -> None:
         request_id = frame.body["request_id"]
         try:
             if frame.type == wire.EXEC_REQUEST:
-                self._serve_exec(session, frame)
+                self._serve_exec(channel, frame, queue)
             elif frame.type == wire.DOC_REQUEST:
-                self._serve_doc(session, frame)
+                self._serve_doc(channel, frame)
             elif frame.type == wire.RUN_SUBMIT:
-                self._serve_run_submit(session, frame)
+                self._serve_run_submit(channel, frame)
             elif frame.type == wire.DATA_QUERY:
-                self._serve_data_query(session, frame)
+                self._serve_data_query(channel, frame)
         except Exception:
             log.exception("request %s failed", request_id)
         finally:
-            session.drop_queue(request_id)
+            channel.drop_queue(request_id)
 
     # -- remote execution: hosting side ----------------------------------------------
 
-    def _serve_exec(self, session: PeerSession, frame: Frame) -> None:
+    def _serve_exec(self, channel: Channel, frame: Frame,
+                    queue: SimpleQueue) -> None:
         body = frame.body
         request_id = body["request_id"]
-        queue = session.request_queue(request_id)
 
         def refuse(code: str, message: str, **extra) -> None:
             error = {"code": code, "message": message}
             error.update({k: v for k, v in extra.items() if v is not None})
-            session.send(Frame(wire.EXEC_RESULT, {
+            channel.send(Frame(wire.EXEC_RESULT, {
                 "request_id": request_id, "status": "failed", "error": error}))
 
         component = str(body.get("component", ""))
@@ -728,7 +761,7 @@ class Node:
         early: list[Frame] = []
         if publication.group_key is not None:
             nonce = new_challenge()
-            session.send(Frame(wire.CHALLENGE, {
+            channel.send(Frame(wire.CHALLENGE, {
                 "request_id": request_id, "nonce": nonce.hex()}))
             request_digest = canonical_digest(body)
             tag = None
@@ -778,12 +811,9 @@ class Node:
             return
 
         def send_stream(stream: str, data: bytes) -> None:
-            total = max(1, (len(data) + wire.CHUNK_SIZE - 1) // wire.CHUNK_SIZE)
-            for i in range(total):
-                session.send(Frame(wire.LOG_CHUNK, {
-                    "request_id": request_id, "stream": stream,
-                    "seq": i, "last": i == total - 1,
-                }, data[i * wire.CHUNK_SIZE:(i + 1) * wire.CHUNK_SIZE]))
+            for chunk in chunk_frames(wire.LOG_CHUNK, {
+                    "request_id": request_id, "stream": stream}, data):
+                channel.send(chunk)
 
         try:
             outcome = execute_tool(publication.descriptor, inputs,
@@ -804,11 +834,12 @@ class Node:
         send_stream("stderr", self.blobs.get(outcome.stderr_ref))
         for datum in outcome.outputs.values():
             if datum.type is DatumType.FILE:
-                for chunk in chunk_blob(request_id, datum.value.digest,
-                                        self.blobs.get(datum.value.digest),
-                                        role="output"):
-                    session.send(chunk)
-        session.send(Frame(wire.EXEC_RESULT, {
+                digest = datum.value.digest
+                for chunk in chunk_frames(wire.BLOB_CHUNK, {
+                        "request_id": request_id, "digest": digest,
+                        "role": "output"}, self.blobs.get(digest)):
+                    channel.send(chunk)
+        channel.send(Frame(wire.EXEC_RESULT, {
             "request_id": request_id,
             "status": "ok",
             "exit_status": outcome.exit_status,
@@ -820,14 +851,14 @@ class Node:
             "finished_at": outcome.finished_at,
         }))
 
-    def _serve_doc(self, session: PeerSession, frame: Frame) -> None:
+    def _serve_doc(self, channel: Channel, frame: Frame) -> None:
         body = frame.body
         request_id = body["request_id"]
         component = str(body.get("component", ""))
         with self._lock:
             publication = self._published.get(component)
         if publication is None or publication.wire_group != body.get("group"):
-            session.send(Frame(wire.DOC_RESPONSE, {
+            channel.send(Frame(wire.DOC_RESPONSE, {
                 "request_id": request_id, "ok": False,
                 "error": {"code": "UNKNOWN_COMPONENT",
                           "message": f"{component!r} is not offered here"}}))
@@ -841,13 +872,13 @@ class Node:
             payload = {"encrypted": True,
                        "doc": base64.b64encode(ciphertext).decode()}
         payload.update({"request_id": request_id, "ok": True})
-        session.send(Frame(wire.DOC_RESPONSE, payload))
+        channel.send(Frame(wire.DOC_RESPONSE, payload))
 
     # -- remote execution: calling side ------------------------------------------------
 
     def _route(self, publisher: str,
-               component: str) -> tuple[object, str, Optional[str]]:
-        """Find (session, wire component name, relay target) for a publisher."""
+               component: str) -> tuple[Channel, str, Optional[str]]:
+        """Find (channel, wire component name, relay target) for a publisher."""
         session = self.session_for(publisher)
         if session is not None:
             name = component.split("::", 1)[1] if "::" in component else component
@@ -885,8 +916,9 @@ class Node:
             if not channel.send(Frame(wire.EXEC_REQUEST, body)):
                 raise NetworkError("TRANSPORT", "could not send the request")
             for digest in body["blobs"]:
-                for chunk in chunk_blob(request_id, digest,
-                                        self.blobs.get(digest)):
+                for chunk in chunk_frames(wire.BLOB_CHUNK, {
+                        "request_id": request_id, "digest": digest,
+                        "role": "input"}, self.blobs.get(digest)):
                     channel.send(chunk)
 
             deadline = time.monotonic() + timeout
@@ -962,16 +994,10 @@ class Node:
     def request_documentation(self, publisher: str, component: str,
                               group: str, *, timeout: float = 30.0) -> str:
         channel, wire_name, target = self._route(publisher, component)
-        request_id = uuid.uuid4().hex
-        body = {"request_id": request_id, "component": wire_name, "group": group}
+        body = {"component": wire_name, "group": group}
         if target is not None:
             body["target"] = target
-        queue = channel.request_queue(request_id)
-        try:
-            channel.send(Frame(wire.DOC_REQUEST, body))
-            frame = _await(queue, time.monotonic() + timeout)
-        finally:
-            channel.drop_queue(request_id)
+        frame = channel.request(wire.DOC_REQUEST, body, timeout)
         if frame is not None and frame.type == wire.ERROR:
             error = frame.body or {}
             raise NetworkError(str(error.get("code", "TRANSPORT")),
@@ -1044,7 +1070,7 @@ class Node:
         with self._lock:
             self._runs[run_id] = engine
             if on_event is not None:
-                self._watchers.setdefault(run_id, []).append(_Watcher(on_event))
+                self._watchers.setdefault(run_id, []).append(on_event)
         engine.start()
         return engine
 
@@ -1059,7 +1085,7 @@ class Node:
             if event.get("event") == "run-finished":
                 self._watchers.pop(run_id, None)
         for watcher in watchers:
-            watcher.callback(event)
+            watcher(event)
 
     # -- engine dispatch (ToolDispatch protocol) ---------------------------------------
 
@@ -1224,15 +1250,7 @@ class Node:
         session = self.session_for(controller)
         if session is None:
             raise NetworkError("UNREACHABLE", f"no session to {controller[:12]}")
-        request_id = uuid.uuid4().hex
-        body = {"request_id": request_id}
-        body.update(query)
-        queue = session.request_queue(request_id)
-        try:
-            session.send(Frame(wire.DATA_QUERY, body))
-            frame = _await(queue, time.monotonic() + timeout)
-        finally:
-            session.drop_queue(request_id)
+        frame = session.request(wire.DATA_QUERY, query, timeout)
         if frame is None or frame.type != wire.DATA_RESULT:
             raise NetworkError("TRANSPORT", "no data result")
         reply = frame.body or {}

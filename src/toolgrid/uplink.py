@@ -20,12 +20,12 @@ import logging
 import socket
 import threading
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Mapping, Optional
 
 from . import wire
 from .config import PROTOCOL_VERSION, UplinkSettings, parse_address
 from .errors import ConfigError, NetworkError, ToolgridError
+from .node import Channel
 from .wire import Frame, FrameReader, encode_frame, type_name
 
 log = logging.getLogger("toolgrid.uplink")
@@ -308,22 +308,20 @@ class RelayServer:
             return [s for s in self._sessions.values() if s is not session]
 
 
-class UplinkLink:
+class UplinkLink(Channel):
     """A node's outbound relay connection; reconnects with bounded backoff.
 
-    Duck-types the slice of PeerSession that request flows use (send,
-    request_queue, push, drop_queue), so remote execution code paths are
-    identical over LAN sessions and the relay.
+    Request flows run over it exactly as over a LAN PeerSession. Only tool
+    execution and documentation are served from the relay side, and
+    announcements count only under the origin the relay stamped.
     """
 
+    SERVES = frozenset({wire.EXEC_REQUEST, wire.DOC_REQUEST})
+
     def __init__(self, node, settings: UplinkSettings):
-        self._node = node
+        super().__init__(node)
         self.settings = settings
         self._address = parse_address(settings.relay, "uplink.relay")
-        self._sock: Optional[socket.socket] = None
-        self._wlock = threading.Lock()
-        self._plock = threading.Lock()
-        self._pending: dict[str, SimpleQueue] = {}
         self._connected = threading.Event()
         self._stopping = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -349,7 +347,7 @@ class UplinkLink:
 
     def stop(self) -> None:
         self._stopping.set()
-        self._drop_connection()
+        self.close()
 
     def wait_connected(self, timeout: float = 5.0) -> bool:
         return self._connected.wait(timeout)
@@ -394,23 +392,10 @@ class UplinkLink:
             self.send(frame)
         self.send(Frame(wire.LIST, None))
 
-    def _drop_connection(self) -> None:
+    def close(self) -> None:
+        """Drop the relay connection; ``_run`` dials again unless stopping."""
         self._connected.clear()
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-        with self._plock:
-            queues = list(self._pending.values())
-            self._pending.clear()
-        for queue in queues:
-            queue.put(None)
+        super().close()
 
     def _run(self) -> None:
         backoff = BACKOFF_START
@@ -434,72 +419,13 @@ class UplinkLink:
                     frame = self._reader.next_frame()
                     if frame is None:
                         break
-                    self._on_frame(frame)
+                    self._node._on_frame(self, frame)
             except (ToolgridError, OSError):
                 pass
-            self._drop_connection()
+            self.close()
 
-    # -- traffic ---------------------------------------------------------------------
-
-    def send(self, frame: Frame) -> bool:
-        sock = self._sock
-        if sock is None:
-            return False
-        try:
-            data = encode_frame(frame)
-            with self._wlock:
-                sock.sendall(data)
-            return True
-        except (OSError, ToolgridError):
-            self._drop_connection()
-            return False
-
-    def request_queue(self, request_id: str) -> SimpleQueue:
-        with self._plock:
-            queue = self._pending.get(request_id)
-            if queue is None:
-                queue = self._pending[request_id] = SimpleQueue()
-            return queue
-
-    def push(self, request_id: str, frame: Frame) -> bool:
-        with self._plock:
-            queue = self._pending.get(request_id)
-        if queue is None:
-            return False
-        queue.put(frame)
-        return True
-
-    def drop_queue(self, request_id: str) -> None:
-        with self._plock:
-            self._pending.pop(request_id, None)
-
-    def _on_frame(self, frame: Frame) -> None:
-        body = frame.body or {}
-        request_id = body.get("request_id")
-        if isinstance(request_id, str) and self.push(request_id, frame):
-            return
-        if frame.type == wire.ANNOUNCE:
-            origin = body.get("origin")
-            if isinstance(origin, str) and origin and origin != self.client_id:
-                self._node.registry.apply(body, tombstone=False, origin=origin)
-        elif frame.type == wire.RETRACT:
-            origin = body.get("origin")
-            if isinstance(origin, str) and origin and origin != self.client_id:
-                self._node.registry.apply(body, tombstone=True, origin=origin)
-        elif frame.type == wire.LIST:
-            for announcement in self._node.announcement_frames():
-                self.send(announcement)
-        elif frame.type in (wire.EXEC_REQUEST, wire.DOC_REQUEST):
-            if not isinstance(request_id, str) or not request_id:
-                return
-            self.request_queue(request_id)
-            self._node._pool.submit(self._node._serve_request, self, frame)
-        elif frame.type == wire.ERROR:
-            code = body.get("code")
-            if code == "ROUTE_UNAVAILABLE" and isinstance(body.get("request_id"), str):
-                self.push(body["request_id"], frame)
-            else:
-                log.warning("uplink %s relay error: %s", self.client_id, body)
-        elif frame.type == wire.PING:
-            reply = dict(body) if body else None
-            self.send(Frame(wire.PONG, reply))
+    def admit(self, body: Mapping, *, tombstone: bool) -> None:
+        # the relay stamps the sender's client id; our own echo is ignored
+        origin = body.get("origin")
+        if isinstance(origin, str) and origin and origin != self.client_id:
+            self._node.registry.apply(body, tombstone=tombstone, origin=origin)

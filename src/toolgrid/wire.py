@@ -11,7 +11,7 @@ binary after that. Compact JSON contains no newline, so the first newline is
 an unambiguous separator and binary data is never re-split.
 
 Frames are capped at 1 MiB; a declared length beyond the cap is rejected
-before any payload is buffered. Blob payloads travel as 64 KiB chunks.
+before any payload is buffered. Blob and log payloads travel as 64 KiB chunks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 from .errors import FrameError
 
 MAX_FRAME = 1 << 20  # 1 MiB over the wire, including the type byte
-CHUNK_SIZE = 64 << 10  # blob payload bytes per BLOB_CHUNK frame
+CHUNK_SIZE = 64 << 10  # payload bytes per BLOB_CHUNK or LOG_CHUNK frame
 
 HELLO = 0x01
 ERROR = 0x02
@@ -177,13 +177,13 @@ class FrameReader:
         return _parse_payload(rest[0], rest[1:], self._strict)
 
 
-def chunk_blob(request_id: str, digest: str, data: bytes,
-               role: str = "input") -> Iterator[Frame]:
-    """Split one blob into BLOB_CHUNK frames; always yields at least one."""
+def chunk_frames(frame_type: int, header: dict, data: bytes) -> Iterator[Frame]:
+    """Split ``data`` into CHUNK_SIZE pieces, one ``frame_type`` frame each.
+
+    Every body is ``header`` plus ``seq`` and ``last``; empty data still
+    yields one frame, so the receiver always sees ``last``.
+    """
     total = max(1, (len(data) + CHUNK_SIZE - 1) // CHUNK_SIZE)
     for i in range(total):
         piece = data[i * CHUNK_SIZE:(i + 1) * CHUNK_SIZE]
-        yield Frame(BLOB_CHUNK, {
-            "request_id": request_id, "digest": digest, "role": role,
-            "seq": i, "last": i == total - 1,
-        }, piece)
+        yield Frame(frame_type, dict(header, seq=i, last=i == total - 1), piece)

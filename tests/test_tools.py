@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,13 @@ def test_descriptor_json_roundtrip():
                         preScript="echo pre", documentation="doc")
     assert parse_descriptor(descriptor_to_json(d)) == d
 
+
+
+def test_readme_descriptor_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Tool descriptors", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert parse_descriptor(example).name == "wordcount"
 
 def test_scaffold_descriptor():
     text = scaffold_descriptor(

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from toolgrid import wire
 from toolgrid.errors import FrameError
-from toolgrid.wire import Frame, FrameReader, chunk_blob, decode_frame, encode_frame
+from toolgrid.wire import Frame, FrameReader, chunk_frames, decode_frame, encode_frame
 
 # The byte assignments are load-bearing: peers of different builds must agree.
 FROZEN_TYPES = {
@@ -171,22 +171,38 @@ def test_reader_rejects_hostile_length_before_buffering():
     assert served == [4]
 
 
+CHUNK_HEADERS = [
+    (wire.BLOB_CHUNK, {"request_id": "req", "digest": "d" * 64, "role": "output"}),
+    (wire.LOG_CHUNK, {"request_id": "req", "stream": "stdout"}),
+]
+
+
 def test_chunk_blob_empty_still_sends_one_frame():
-    frames = list(chunk_blob("req", "d" * 64, b""))
-    assert len(frames) == 1
-    assert frames[0].body["last"] is True
-    assert frames[0].binary == b""
+    for frame_type, header in CHUNK_HEADERS:
+        frames = list(chunk_frames(frame_type, header, b""))
+        assert len(frames) == 1
+        assert frames[0].type == frame_type
+        assert frames[0].body == dict(header, seq=0, last=True)
+        assert frames[0].binary == b""
 
 
 def test_chunk_blob_splits_and_reassembles():
     data = bytes(range(256)) * 300  # 76800 bytes, two chunks
-    frames = list(chunk_blob("req", "d" * 64, data, role="output"))
+    frames = list(chunk_frames(*CHUNK_HEADERS[0], data))
     assert len(frames) == 2
     assert [f.body["seq"] for f in frames] == [0, 1]
     assert [f.body["last"] for f in frames] == [False, True]
     assert all(f.body["role"] == "output" for f in frames)
     assert len(frames[0].binary) == wire.CHUNK_SIZE
     assert b"".join(f.binary for f in frames) == data
+
+    log = bytes(range(256)) * (wire.CHUNK_SIZE * 5 // 2 // 256)  # 2.5 chunks
+    frames = list(chunk_frames(*CHUNK_HEADERS[1], log))
+    assert [f.body["seq"] for f in frames] == [0, 1, 2]
+    assert [f.body["last"] for f in frames] == [False, False, True]
+    assert all(f.body["stream"] == "stdout" for f in frames)
+    assert [len(f.binary) for f in frames] == [wire.CHUNK_SIZE] * 2 + [wire.CHUNK_SIZE // 2]
+    assert b"".join(decode_frame(encode_frame(f)).binary for f in frames) == log
 
 
 json_text = st.text(
