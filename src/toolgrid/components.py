@@ -470,7 +470,6 @@ class Optimizer(Behavior):
         if "search" not in ctx.state:
             search = _STRATEGIES[strategy](variables, tol, max_evals)
             ctx.state["search"] = search
-            ctx.state["variables"] = variables
             return self._emit_candidate(variables, next(search))
         search = ctx.state["search"]
         try:

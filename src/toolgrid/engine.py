@@ -25,7 +25,7 @@ import time
 import uuid
 from collections import deque
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol
 
@@ -33,8 +33,9 @@ from .components import Behavior, FiringContext, FiringResult
 from .errors import EngineError, ToolgridError
 from .store import ExecutionRecord, RunStore
 from .tools import ExecutionOutcome
-from .values import Datum, convert
-from .workflow import ComponentInstance, ComponentInterface, Diagnostic, WorkflowGraph
+from .values import Datum, convert, scalar_datum
+from .workflow import (ComponentInstance, ComponentInterface, Diagnostic, Endpoint,
+                       WorkflowGraph, serialize_workflow)
 
 RUNNING = "RUNNING"
 COMPLETED = "COMPLETED"
@@ -96,8 +97,41 @@ class _Parcel:
 
 
 @dataclass
+class _Slot:
+    """Everything the scheduler tracks for one instance during a run."""
+
+    plan: InstancePlan
+    queues: dict[str, deque[_Parcel]]
+    constants: dict[str, Optional[_Parcel]]
+    state: dict = field(default_factory=dict)  # the behavior's own state
+    fired: int = 0
+    busy: bool = False
+
+    @property
+    def bootstrap(self) -> bool:
+        """Whether the next firing is the single one that needs no queued data."""
+        behavior = self.plan.behavior
+        return self.fired == 0 and (not self.queues or (
+            behavior is not None and behavior.starts_without_input))
+
+    def ready(self) -> bool:
+        if self.busy or any(p is None for p in self.constants.values()):
+            return False
+        if self.bootstrap:
+            return True
+        # an instance without queued inputs is spent after its one firing
+        return bool(self.queues) and all(self.queues.values())
+
+    def put(self, name: str, parcel: _Parcel) -> None:
+        if name in self.queues:
+            self.queues[name].append(parcel)
+        else:
+            self.constants[name] = parcel
+
+
+@dataclass
 class _Ticket:
-    instance_id: str
+    slot: _Slot
     execution_index: int
     consumed: dict[str, _Parcel]
     started_at: int
@@ -116,8 +150,6 @@ class Engine:
         self.run_id = run_id
         self.graph = graph
         self.store = store
-        self._plans = plans
-        self._by_id = {p.instance.instance_id: p for p in plans}
         self._dispatch = dispatch
         self._executor = executor
         self._controller = controller_node
@@ -127,14 +159,6 @@ class Engine:
 
         self._lock = threading.Lock()
         self._state = RUNNING
-        self._queues: dict[tuple[str, str], deque[_Parcel]] = {}
-        self._constants: dict[tuple[str, str], Optional[_Parcel]] = {}
-        self._fired: dict[str, int] = {}
-        self._in_flight: set[str] = set()
-        self._bootstrap: set[str] = set()
-        self._spent: set[str] = set()
-        self._behaviors: dict[str, Behavior] = {}
-        self._behavior_state: dict[str, dict] = {}
         self._seq = 0
         self._closed = False
         self._done = threading.Event()
@@ -142,37 +166,33 @@ class Engine:
         self.stall_diagnostics: list[Diagnostic] = []
         self.failure: Optional[dict] = None
 
+        self._slots: dict[str, _Slot] = {}
         for plan in plans:
-            inst = plan.instance.instance_id
-            self._fired[inst] = 0
-            queued = 0
-            for ep in plan.interface.inputs:
-                key = (inst, ep.name)
-                if ep.handling == "queued":
-                    self._queues[key] = deque()
-                    queued += 1
-                else:
-                    self._constants[key] = None
-            if plan.behavior is not None:
-                self._behaviors[inst] = plan.behavior
-                self._behavior_state[inst] = {}
-            if queued == 0 or (plan.behavior is not None
-                               and plan.behavior.starts_without_input):
-                self._bootstrap.add(inst)
+            inputs = plan.interface.inputs
+            self._slots[plan.instance.instance_id] = _Slot(
+                plan,
+                {ep.name: deque() for ep in inputs if ep.handling == "queued"},
+                {ep.name: None for ep in inputs if ep.handling == "constant"})
+        # (producer, output) -> [(consumer, input)], in connection order
+        self._routes: dict[tuple[str, str], list[tuple[_Slot, Endpoint]]] = {}
+        for conn in graph.connections:
+            target = self._slots.get(conn.to_instance)
+            if target is not None:
+                self._routes.setdefault((conn.from_instance, conn.output), []).append(
+                    (target, target.plan.interface.input(conn.input)))
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
         """Open records, run setup checks, seed config values, fire sources."""
-        from .workflow import serialize_workflow
-
-        for plan in self._plans:
+        plans = [slot.plan for slot in self._slots.values()]
+        for plan in plans:
             if not self._dispatch.reachable(plan.node):
                 raise EngineError(
                     "PLACEMENT_UNREACHABLE",
                     f"instance {plan.instance.instance_id!r} is placed on "
                     f"unreachable node {plan.node!r}")
-        placement = {p.instance.instance_id: p.node for p in self._plans}
+        placement = {p.instance.instance_id: p.node for p in plans}
         self.store.open_run(self.run_id, serialize_workflow(self.graph),
                             workflow_name=self.graph.name,
                             controller_node=self._controller,
@@ -180,10 +200,9 @@ class Engine:
         with self._lock:
             self._emit("run-started", workflow=self.graph.name)
             try:
-                for plan in self._plans:
-                    behavior = self._behaviors.get(plan.instance.instance_id)
-                    if behavior is not None:
-                        behavior.setup(self._context(plan.instance.instance_id, 0))
+                for slot in self._slots.values():
+                    if slot.plan.behavior is not None:
+                        slot.plan.behavior.setup(self._context(slot, 0))
             except ToolgridError as exc:
                 self.failure = {"code": exc.code, "message": exc.message}
                 self._emit("run-failed", code=exc.code, message=exc.message)
@@ -197,93 +216,51 @@ class Engine:
         self._flush_events()
 
     def _seed(self) -> None:
-        for plan in self._plans:
-            inst = plan.instance.instance_id
-            for ep in plan.interface.inputs:
-                if ep.name not in plan.instance.config:
-                    continue
-                from .values import scalar_datum
-                datum = scalar_datum(plan.instance.config[ep.name], ep.datum_type)
-                parcel = _Parcel(datum, None)
-                if ep.handling == "queued":
-                    self._queues[(inst, ep.name)].append(parcel)
-                else:
-                    self._constants[(inst, ep.name)] = parcel
+        for slot in self._slots.values():
+            config = slot.plan.instance.config
+            for ep in slot.plan.interface.inputs:
+                if ep.name in config:
+                    slot.put(ep.name, _Parcel(
+                        scalar_datum(config[ep.name], ep.datum_type), None))
 
-    def _context(self, instance_id: str, execution_index: int) -> FiringContext:
-        plan = self._by_id[instance_id]
-        return FiringContext(instance_id, execution_index, plan.instance.config,
-                             self._behavior_state.get(instance_id, {}),
+    def _context(self, slot: _Slot, execution_index: int) -> FiringContext:
+        return FiringContext(slot.plan.instance.instance_id, execution_index,
+                             slot.plan.instance.config, slot.state,
                              self.store.blobs, self._work_root)
 
     # -- readiness and dispatch -------------------------------------------------
 
-    def fireable(self, instance_id: str) -> bool:
-        with self._lock:
-            if instance_id not in self._by_id:
-                raise EngineError("UNKNOWN_INSTANCE", f"no instance {instance_id!r}")
-            return self._fireable(instance_id)
-
-    def _fireable(self, inst: str) -> bool:
-        if self._state != RUNNING or inst in self._in_flight or inst in self._spent:
-            return False
-        plan = self._by_id[inst]
-        constants_ready = all(
-            self._constants[(inst, ep.name)] is not None
-            for ep in plan.interface.inputs if ep.handling == "constant")
-        if inst in self._bootstrap:
-            return constants_ready
-        queued = [ep for ep in plan.interface.inputs if ep.handling == "queued"]
-        if not queued:
-            return False  # fired its single shot already
-        return constants_ready and all(
-            self._queues[(inst, ep.name)] for ep in queued)
-
     def _pump(self) -> None:
         # Iterative so long inline loops (convergers, optimizers) cannot
-        # recurse; deferred completions re-enter through _on_complete.
+        # recurse; deferred completions re-enter through _run_async.
         while self._state == RUNNING:
             progressed = False
-            for plan in self._plans:
-                inst = plan.instance.instance_id
-                if self._fireable(inst):
-                    self._begin_firing(plan)
+            for slot in self._slots.values():
+                if slot.ready():
+                    self._begin_firing(slot)
                     progressed = True
                     if self._state != RUNNING:
                         break
             if not progressed:
                 break
 
-    def _begin_firing(self, plan: InstancePlan) -> None:
+    def _begin_firing(self, slot: _Slot) -> None:
+        plan = slot.plan
         inst = plan.instance.instance_id
-        index = self._fired[inst] + 1
-        self._fired[inst] = index
-        bootstrap = inst in self._bootstrap
-        self._bootstrap.discard(inst)
-
-        consumed: dict[str, _Parcel] = {}
-        if not bootstrap:
-            for ep in plan.interface.inputs:
-                if ep.handling == "queued":
-                    consumed[ep.name] = self._queues[(inst, ep.name)].popleft()
-        for ep in plan.interface.inputs:
-            if ep.handling == "constant":
-                consumed[ep.name] = self._constants[(inst, ep.name)]
-
-        has_queued = any(ep.handling == "queued" for ep in plan.interface.inputs)
-        if not has_queued:
-            self._spent.add(inst)
-
-        self._in_flight.add(inst)
-        ticket = _Ticket(inst, index, consumed, self._clock.now())
+        consumed = {} if slot.bootstrap else {
+            name: queue.popleft() for name, queue in slot.queues.items()}
+        consumed.update(slot.constants)
+        slot.fired += 1
+        slot.busy = True
+        index = slot.fired
+        ticket = _Ticket(slot, index, consumed, self._clock.now())
         self._emit("firing-started", instance=inst, execution_index=index,
                    node=plan.node)
         inputs = {name: parcel.datum for name, parcel in consumed.items()}
 
-        behavior = self._behaviors.get(inst)
-        if behavior is not None:
+        if plan.behavior is not None:
             try:
-                result = behavior.fire(self._context(inst, index), inputs)
+                result = plan.behavior.fire(self._context(slot, index), inputs)
             except ToolgridError as exc:
                 self._finish(ticket, error=exc)
                 return
@@ -320,14 +297,11 @@ class Engine:
 
     def _finish(self, ticket: _Ticket, result: FiringResult | None = None,
                 error: ToolgridError | None = None) -> None:
-        inst = ticket.instance_id
-        plan = self._by_id[inst]
-        self._in_flight.discard(inst)
+        plan = ticket.slot.plan
+        inst = plan.instance.instance_id
+        ticket.slot.busy = False
         self._seq += 1
-        finished_at = self._clock.now()
 
-        inputs_json = {name: parcel.datum.to_json()
-                       for name, parcel in ticket.consumed.items()}
         upstream = {}
         for name, parcel in ticket.consumed.items():
             if parcel.origin is None:
@@ -336,30 +310,24 @@ class Engine:
                 producer, index, output = parcel.origin
                 upstream[name] = {"instance": producer, "execution_index": index,
                                   "output": output}
-
-        if error is None:
-            outputs_json = {name: datum.to_json() for name, datum in result.emissions}
-            record = ExecutionRecord(
-                seq=self._seq, instance_id=inst,
-                execution_index=ticket.execution_index,
-                component=str(plan.instance.component), node=plan.node,
-                status="ok", exit_status=result.exit_status,
-                started_at=ticket.started_at, finished_at=finished_at,
-                inputs=inputs_json, outputs=outputs_json,
-                stdout=result.stdout_ref, stderr=result.stderr_ref,
-                upstream=upstream)
-        else:
-            record = ExecutionRecord(
-                seq=self._seq, instance_id=inst,
-                execution_index=ticket.execution_index,
-                component=str(plan.instance.component), node=plan.node,
-                status="failed", exit_status=getattr(error, "exit_status", None),
-                started_at=ticket.started_at, finished_at=finished_at,
-                inputs=inputs_json, outputs={},
-                stdout=getattr(error, "stdout_ref", None),
-                stderr=getattr(error, "stderr_ref", None),
-                error={"code": error.code, "message": error.message},
-                upstream=upstream)
+        # a failed firing's exit status and logs travel on the error
+        outcome = result if error is None else error
+        record = ExecutionRecord(
+            seq=self._seq, instance_id=inst,
+            execution_index=ticket.execution_index,
+            component=str(plan.instance.component), node=plan.node,
+            status="ok" if error is None else "failed",
+            exit_status=getattr(outcome, "exit_status", None),
+            started_at=ticket.started_at, finished_at=self._clock.now(),
+            inputs={name: parcel.datum.to_json()
+                    for name, parcel in ticket.consumed.items()},
+            outputs={} if error is not None else {
+                name: datum.to_json() for name, datum in result.emissions},
+            stdout=getattr(outcome, "stdout_ref", None),
+            stderr=getattr(outcome, "stderr_ref", None),
+            error=None if error is None else {"code": error.code,
+                                              "message": error.message},
+            upstream=upstream)
         try:
             self.store.record_execution(self.run_id, record)
         except ToolgridError:
@@ -377,44 +345,29 @@ class Engine:
                 self._state = FAILED
             return
         for output, datum in result.emissions:
-            self._route(inst, ticket.execution_index, output, datum)
-
-    def _route(self, producer: str, execution_index: int, output: str,
-               datum: Datum) -> None:
-        origin = (producer, execution_index, output)
-        for conn in self.graph.outbound(producer, output):
-            target = self._by_id.get(conn.to_instance)
-            if target is None:
-                continue
-            ep = target.interface.input(conn.input)
-            parcel = _Parcel(convert(datum, ep.datum_type), origin)
-            key = (conn.to_instance, conn.input)
-            if ep.handling == "queued":
-                self._queues[key].append(parcel)
-            else:
-                self._constants[key] = parcel
+            origin = (inst, ticket.execution_index, output)
+            for target, ep in self._routes.get((inst, output), ()):
+                target.put(ep.name, _Parcel(convert(datum, ep.datum_type), origin))
 
     def _check_stall(self) -> str:
-        leftovers = [key for key, queue in self._queues.items() if queue]
+        leftovers = [(inst, name) for inst, slot in self._slots.items()
+                     for name, queue in slot.queues.items() if queue]
         if not leftovers:
             return COMPLETED
-        starved_instances = sorted({inst for inst, _ in leftovers})
-        for inst in starved_instances:
-            plan = self._by_id[inst]
-            for ep in plan.interface.inputs:
-                key = (inst, ep.name)
-                if ep.handling == "queued" and not self._queues[key]:
-                    self.stall_diagnostics.append(Diagnostic(
-                        "error", "STARVED_INPUT", f"components.{inst}.{ep.name}",
-                        f"input {ep.name!r} of {inst!r} never received data while "
-                        f"other inputs did"))
-                    self._emit("stall", instance=inst, endpoint=ep.name)
-                if ep.handling == "constant" and self._constants[key] is None:
-                    self.stall_diagnostics.append(Diagnostic(
-                        "error", "STARVED_INPUT", f"components.{inst}.{ep.name}",
-                        f"constant input {ep.name!r} of {inst!r} never received "
-                        f"a value"))
-                    self._emit("stall", instance=inst, endpoint=ep.name)
+        for inst in sorted({inst for inst, _ in leftovers}):
+            slot = self._slots[inst]
+            for ep in slot.plan.interface.inputs:
+                if ep.name in slot.queues and not slot.queues[ep.name]:
+                    message = (f"input {ep.name!r} of {inst!r} never received data "
+                               f"while other inputs did")
+                elif ep.name in slot.constants and slot.constants[ep.name] is None:
+                    message = (f"constant input {ep.name!r} of {inst!r} never "
+                               f"received a value")
+                else:
+                    continue
+                self.stall_diagnostics.append(Diagnostic(
+                    "error", "STARVED_INPUT", f"components.{inst}.{ep.name}", message))
+                self._emit("stall", instance=inst, endpoint=ep.name)
         if not self.stall_diagnostics:
             for inst, name in sorted(leftovers):
                 self.stall_diagnostics.append(Diagnostic(
@@ -423,12 +376,15 @@ class Engine:
         return STALLED
 
     def _maybe_close(self) -> None:
-        if self._closed or self._in_flight:
+        if self._closed or any(slot.busy for slot in self._slots.values()):
             return
         if self._state == RUNNING:
-            if any(self._fireable(p.instance.instance_id) for p in self._plans):
+            if any(slot.ready() for slot in self._slots.values()):
                 return
             self._state = self._check_stall()
+        self._close()
+
+    def _close(self) -> None:
         self._closed = True
         self._emit("run-finished", state=self._state)
         try:
@@ -461,14 +417,7 @@ class Engine:
             # Abandon stragglers: close records now; late completions no-op.
             with self._lock:
                 if not self._closed:
-                    self._closed = True
-                    self._emit("run-finished", state=self._state)
-                    try:
-                        self.store.close_run(self.run_id, self._state,
-                                             closed_at=self._clock.now())
-                    except ToolgridError:
-                        pass
-                    self._done.set()
+                    self._close()
             self._flush_events()
 
     # -- events -------------------------------------------------------------------

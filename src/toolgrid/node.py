@@ -438,8 +438,6 @@ class Node:
         self._published: dict[str, _Publication] = {}
         self._sessions: list[PeerSession] = []
         self._by_peer: dict[str, PeerSession] = {}
-        self._runs: dict[str, Engine] = {}
-        self._watchers: dict[str, list[Callable[[dict], None]]] = {}
         self._announce_seq = 0
         self._clock = MsClock()
         self._pool = ThreadPoolExecutor(max_workers=16,
@@ -1066,26 +1064,9 @@ class Node:
         run_id = run_id or new_run_id()
         engine = Engine(run_id, graph, plans, self.store, self, self._pool,
                         controller_node=self.node_id, work_root=self.work_dir,
-                        clock=self._clock, on_event=self._fanout_event)
-        with self._lock:
-            self._runs[run_id] = engine
-            if on_event is not None:
-                self._watchers.setdefault(run_id, []).append(on_event)
+                        clock=self._clock, on_event=on_event)
         engine.start()
         return engine
-
-    def run(self, run_id: str) -> Optional[Engine]:
-        with self._lock:
-            return self._runs.get(run_id)
-
-    def _fanout_event(self, event: dict) -> None:
-        run_id = event.get("run_id", "")
-        with self._lock:
-            watchers = list(self._watchers.get(run_id, ()))
-            if event.get("event") == "run-finished":
-                self._watchers.pop(run_id, None)
-        for watcher in watchers:
-            watcher(event)
 
     # -- engine dispatch (ToolDispatch protocol) ---------------------------------------
 

@@ -316,7 +316,8 @@ class RunStore:
         if meta["state"] not in TERMINAL_STATES:
             raise DataError("RUN_NOT_TERMINAL",
                             f"run {run_id!r} is still {meta['state']}")
-        missing = self.missing_blobs(run_id)
+        referenced = self.referenced_blobs(run_id)
+        missing = sorted(d for d in referenced if not self.blobs.has(d))
         if missing:
             raise DataError("DANGLING_REF",
                             f"run {run_id!r} references missing blobs: {', '.join(missing)}")
@@ -330,7 +331,7 @@ class RunStore:
             data = (run_dir / name).read_bytes()
             (dest / name).write_bytes(data)
             files.append({"path": name, "sha256": sha256_hex(data)})
-        for digest in sorted(self.referenced_blobs(run_id)):
+        for digest in sorted(referenced):
             data = self.blobs.get(digest)
             shard = dest / "blobs" / digest[:2]
             shard.mkdir(parents=True, exist_ok=True)

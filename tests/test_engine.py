@@ -295,3 +295,56 @@ def test_repeat_runs_are_bit_identical(node, tmp_path):
     # no record references a blob the store does not hold
     assert node.store.missing_blobs(run_a) == []
     assert node.store.missing_blobs(run_b) == []
+
+
+def test_records_log_keeps_dispatch_order(node, tmp_path):
+    # all built-ins, so every firing is inline and the order is fixed: a
+    # source that fires once, an optimizer bootstrap, a writer whose constant
+    # is seeded from config, and a join that stalls on its starved input
+    text = workflow(
+        "order",
+        [instance("sink", "output-writer@1",
+                  {"target": str(tmp_path / "sink"),
+                   "inputs": {"best": "text", "k": "float:constant"}, "k": 2.0}),
+         instance("opt", "optimizer@1",
+                  {"strategy": "grid",
+                   "variables": [{"name": "x", "lower": 0.0, "upper": 2.0,
+                                  "initial_step": 1.0}],
+                   "tol": 1e-3, "max_evals": 3}),
+         instance("loop", "switch@1", {"condition": ">= -1.0"}),
+         instance("src", "input-provider@1", {"values": {"v": 1.0, "w": 20.0}}),
+         instance("join", "output-writer@1",
+                  {"target": str(tmp_path / "join"),
+                   "inputs": {"a": "float", "b": "float"}}),
+         instance("gate", "switch@1", {"condition": "< 10"})],
+        [edge("opt.x", "loop.value"),
+         edge("loop.true", "opt.objective"),
+         edge("opt.optimum", "sink.best"),
+         edge("src.v", "join.a"),
+         edge("src.w", "gate.value"),
+         edge("gate.true", "join.b")])
+    engine = node.start_run(text)
+    assert engine.wait(60) == "STALLED"
+    path = node.store.root / "runs" / engine.run_id / "records.log"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    fields = ("kind", "event", "instance_id", "instance", "endpoint",
+              "execution_index", "state")
+    sequence = [" ".join(str(doc[k]) for k in fields if k in doc) for doc in lines]
+
+    def firing(inst, index):
+        return [f"event firing-started {inst} {index}",
+                f"execution {inst} {index}",
+                f"event firing-finished {inst} {index}"]
+
+    assert sequence == (
+        ["event run-started"]
+        + firing("opt", 1) + firing("loop", 1)
+        + firing("src", 1) + firing("gate", 1)
+        + firing("opt", 2) + firing("loop", 2)
+        + firing("opt", 3) + firing("loop", 3)
+        + firing("opt", 4)
+        + firing("sink", 1)
+        + ["event stall join b", "event run-finished STALLED"])
+    sink = node.store.query_run(engine.run_id, instance_id="sink")[0]
+    assert sink.inputs["k"] == {"type": "float", "value": 2.0}
+    assert sink.upstream["k"] is None

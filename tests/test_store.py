@@ -241,3 +241,22 @@ def test_export_copies_everything(store, tmp_path):
     with pytest.raises(DataError) as err:
         store.export_run("r1", dest)
     assert err.value.code == "DEST_NOT_EMPTY"
+
+
+def test_export_reads_the_records_once(store, tmp_path, monkeypatch):
+    store.open_run("r1", WORKFLOW_TEXT)
+    digest = store.blobs.put(b"artifact bytes")
+    store.record_execution("r1", record(
+        outputs={"f": Datum.file(digest, "a.bin").to_json()}))
+    store.close_run("r1", "COMPLETED")
+    calls = []
+    query_run = store.query_run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return query_run(*args, **kwargs)
+
+    monkeypatch.setattr(store, "query_run", counting)
+    manifest = store.export_run("r1", tmp_path / "export")
+    assert calls == [("r1",)]
+    assert f"blobs/{digest[:2]}/{digest}" in [f["path"] for f in manifest["files"]]
