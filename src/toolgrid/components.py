@@ -1,8 +1,9 @@
 """Built-in workflow components: sources, sinks, scripting, branching, loops.
 
-Each built-in derives its typed interface from the instance's ``config`` map
-in the workflow file, so one component name covers many shapes. The catalog
-publishes six components, all version "1":
+Each built-in is an object built from the instance's ``config`` map in the
+workflow file: the constructor validates the config and derives the typed
+interface, so one component name covers many shapes. The catalog publishes
+six components, all version "1":
 
     input-provider   emit configured scalars and files once, then stop
     output-writer    append received scalars to a log, materialize files
@@ -11,8 +12,9 @@ publishes six components, all version "1":
     converger        absolute-tolerance fixed-point loop driver
     optimizer        grid or coordinate-descent minimization loop driver
 
-Loop drivers keep private state between firings; the engine owns that state
-per run and calls behaviors only from its scheduling loop.
+A run builds one object per built-in instance and calls it only from the
+engine's scheduling loop, so loop drivers keep their state between firings
+on the object itself and two runs never share it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
-from .errors import ComponentConfigError, DataError
+from .errors import ComponentConfigError, DataError, DescriptorError
 from .store import BlobStore
 from .tools import ToolDescriptor, _check_placeholders, current_os, execute_tool
 from .values import Datum, DatumType, infer_scalar_type, scalar_datum
@@ -39,8 +41,6 @@ class FiringContext:
 
     instance_id: str
     execution_index: int  # 1-based
-    config: Mapping
-    state: dict
     blobs: BlobStore
     work_root: Path
 
@@ -60,16 +60,15 @@ FireReturn = Union[FiringResult, Callable[[], FiringResult]]
 
 
 class Behavior:
+    """One built-in instance per run; __init__ validates its config and sets ``interface``."""
+
     # True for loop drivers that must emit their first candidate before any
     # input exists; the engine grants them one input-less bootstrap firing.
     starts_without_input = False
+    interface: ComponentInterface
 
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
-        raise NotImplementedError
-
-    def setup(self, ctx: FiringContext) -> None:
-        """Pre-run validation; raising here fails the run before any firing."""
+    def setup(self) -> None:
+        """Pre-run checks with side effects; raising here fails the run before any firing."""
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
         raise NotImplementedError
@@ -102,39 +101,40 @@ class InputProvider(Behavior):
     config: {"values": {name: scalar}, "files": {name: path}}
     """
 
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
+    def __init__(self, config: Mapping):
         values = config.get("values", {})
         files = config.get("files", {})
         if not isinstance(values, Mapping) or not isinstance(files, Mapping):
             raise ComponentConfigError("BAD_CONFIG", "values and files must be maps")
         outputs = []
+        self._values: list[tuple[str, Datum]] = []
         for name, value in values.items():
             if not IDENT_RE.match(str(name)):
                 raise ComponentConfigError("BAD_CONFIG", f"bad output name {name!r}")
             try:
-                outputs.append(Endpoint(name, "output", infer_scalar_type(value)))
+                dtype = infer_scalar_type(value)
             except ValueError as exc:
                 raise ComponentConfigError("BAD_CONFIG", f"values.{name}: {exc}") from exc
+            outputs.append(Endpoint(name, "output", dtype))
+            self._values.append((name, scalar_datum(value, dtype)))
         for name in files:
             if not IDENT_RE.match(str(name)):
                 raise ComponentConfigError("BAD_CONFIG", f"bad output name {name!r}")
             outputs.append(Endpoint(name, "output", DatumType.FILE))
         if not outputs:
             raise ComponentConfigError("BAD_CONFIG", "provider emits nothing")
-        return ComponentInterface((), tuple(outputs))
+        self.interface = ComponentInterface((), tuple(outputs))
+        self._files = dict(files)
 
-    def setup(self, ctx: FiringContext) -> None:
-        for name, path in ctx.config.get("files", {}).items():
+    def setup(self) -> None:
+        for name, path in self._files.items():
             if not Path(path).is_file():
                 raise ComponentConfigError("FILE_NOT_FOUND",
                                            f"files.{name}: no such file {path!r}")
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FiringResult:
-        emissions: list[tuple[str, Datum]] = []
-        for name, value in ctx.config.get("values", {}).items():
-            emissions.append((name, scalar_datum(value, infer_scalar_type(value))))
-        for name, path in ctx.config.get("files", {}).items():
+        emissions = list(self._values)
+        for name, path in self._files.items():
             data = Path(path).read_bytes()
             emissions.append((name, Datum.file(ctx.blobs.put(data), Path(path).name)))
         return FiringResult(emissions)
@@ -149,17 +149,18 @@ class OutputWriter(Behavior):
     overwritten.
     """
 
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
-        if not isinstance(config.get("target"), str):
+    def __init__(self, config: Mapping):
+        target = config.get("target")
+        if not isinstance(target, str):
             raise ComponentConfigError("BAD_CONFIG", "writer needs a target directory")
         inputs = _typed_endpoints(config.get("inputs", {}), "input", "inputs")
         if not inputs:
             raise ComponentConfigError("BAD_CONFIG", "writer consumes nothing")
-        return ComponentInterface(inputs, ())
+        self.interface = ComponentInterface(inputs, ())
+        self._target = Path(target)
 
-    def setup(self, ctx: FiringContext) -> None:
-        target = Path(ctx.config["target"])
+    def setup(self) -> None:
+        target = self._target
         try:
             target.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -168,11 +169,10 @@ class OutputWriter(Behavior):
             raise ComponentConfigError("TARGET_UNWRITABLE", f"{target} is not a directory")
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FiringResult:
-        target = Path(ctx.config["target"])
         for name, datum in inputs.items():
             if datum.type is DatumType.FILE:
-                dest = target / (f"{ctx.instance_id}-{name}-"
-                                 f"{ctx.execution_index}-{datum.value.filename}")
+                dest = self._target / (f"{ctx.instance_id}-{name}-"
+                                       f"{ctx.execution_index}-{datum.value.filename}")
                 if dest.exists():
                     raise DataError("WOULD_OVERWRITE", f"{dest} already exists")
                 dest.write_bytes(ctx.blobs.get(datum.value.digest))
@@ -181,7 +181,7 @@ class OutputWriter(Behavior):
                     "instance": ctx.instance_id, "endpoint": name,
                     "execution_index": ctx.execution_index, "value": datum.value,
                 }, sort_keys=True)
-                with open(target / "values.log", "a") as fh:
+                with open(self._target / "values.log", "a") as fh:
                     fh.write(line + "\n")
         return FiringResult([])
 
@@ -194,8 +194,7 @@ class Script(Behavior):
     layout and must write outputs.json.
     """
 
-    @staticmethod
-    def _descriptor(config: Mapping) -> ToolDescriptor:
+    def __init__(self, config: Mapping):
         command = config.get("command")
         if not isinstance(command, str) or not command.strip():
             raise ComponentConfigError("BAD_CONFIG", "script needs a command")
@@ -204,21 +203,17 @@ class Script(Behavior):
         try:
             _check_placeholders(command, "command",
                                 {e.name for e in inputs}, {e.name for e in outputs})
-        except Exception as exc:
+        except DescriptorError as exc:
             raise ComponentConfigError("BAD_CONFIG", str(exc)) from exc
-        return ToolDescriptor("script", BUILTIN_VERSION, {current_os(): command},
-                              inputs, outputs)
-
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
-        return Script._descriptor(config).interface()
+        self._descriptor = ToolDescriptor("script", BUILTIN_VERSION,
+                                          {current_os(): command}, inputs, outputs)
+        self.interface = self._descriptor.interface()
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
-        descriptor = self._descriptor(ctx.config)
         frozen = dict(inputs)
 
         def run() -> FiringResult:
-            outcome = execute_tool(descriptor, frozen, ctx.work_root, ctx.blobs)
+            outcome = execute_tool(self._descriptor, frozen, ctx.work_root, ctx.blobs)
             return FiringResult(list(outcome.outputs.items()), outcome.exit_status,
                                 outcome.stdout_ref, outcome.stderr_ref)
 
@@ -238,33 +233,6 @@ _ORDERING = {"<", "<=", ">=", ">"}
 _CONDITION_RE = re.compile(r"^\s*(<=|>=|!=|==|≤|≥|≠|<|>|=)\s*(.+?)\s*$")
 
 
-def _parse_condition(config: Mapping) -> tuple[str, object, DatumType]:
-    condition = config.get("condition")
-    if not isinstance(condition, str):
-        raise ComponentConfigError("BAD_CONFIG", "switch needs a condition like \"< 10\"")
-    match = _CONDITION_RE.match(condition)
-    if not match:
-        raise ComponentConfigError("BAD_CONFIG", f"cannot parse condition {condition!r}")
-    op = _OPERATOR_ALIASES.get(match.group(1), match.group(1))
-    try:
-        constant = json.loads(match.group(2))
-    except json.JSONDecodeError as exc:
-        raise ComponentConfigError(
-            "BAD_CONFIG", f"condition constant {match.group(2)!r} is not a literal") from exc
-    if isinstance(constant, bool):
-        dtype = DatumType.BOOLEAN
-    elif isinstance(constant, (int, float)):
-        dtype, constant = DatumType.FLOAT, float(constant)
-    elif isinstance(constant, str):
-        dtype = DatumType.TEXT
-    else:
-        raise ComponentConfigError("BAD_CONFIG", "condition constant must be a scalar")
-    if op in _ORDERING and dtype is not DatumType.FLOAT:
-        raise ComponentConfigError(
-            "TYPE_MISMATCH", f"ordering comparison {op!r} needs a numeric constant")
-    return op, constant, dtype
-
-
 class Switch(Behavior):
     """Forwards input "value" to output "true" or "false" per the condition.
 
@@ -272,17 +240,39 @@ class Switch(Behavior):
     (unicode forms accepted). The endpoint type follows the constant.
     """
 
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
-        _, _, dtype = _parse_condition(config)
-        return ComponentInterface(
+    def __init__(self, config: Mapping):
+        condition = config.get("condition")
+        if not isinstance(condition, str):
+            raise ComponentConfigError("BAD_CONFIG", "switch needs a condition like \"< 10\"")
+        match = _CONDITION_RE.match(condition)
+        if not match:
+            raise ComponentConfigError("BAD_CONFIG", f"cannot parse condition {condition!r}")
+        op = _OPERATOR_ALIASES.get(match.group(1), match.group(1))
+        try:
+            constant = json.loads(match.group(2))
+        except json.JSONDecodeError as exc:
+            raise ComponentConfigError(
+                "BAD_CONFIG", f"condition constant {match.group(2)!r} is not a literal") from exc
+        if isinstance(constant, bool):
+            dtype = DatumType.BOOLEAN
+        elif isinstance(constant, (int, float)):
+            dtype, constant = DatumType.FLOAT, float(constant)
+        elif isinstance(constant, str):
+            dtype = DatumType.TEXT
+        else:
+            raise ComponentConfigError("BAD_CONFIG", "condition constant must be a scalar")
+        if op in _ORDERING and dtype is not DatumType.FLOAT:
+            raise ComponentConfigError(
+                "TYPE_MISMATCH", f"ordering comparison {op!r} needs a numeric constant")
+        self._compare = _OPERATORS[op]
+        self._constant = constant
+        self.interface = ComponentInterface(
             (Endpoint("value", "input", dtype, "queued"),),
             (Endpoint("true", "output", dtype), Endpoint("false", "output", dtype)))
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FiringResult:
-        op, constant, _ = _parse_condition(ctx.config)
         datum = inputs["value"]
-        branch = "true" if _OPERATORS[op](datum.value, constant) else "false"
+        branch = "true" if self._compare(datum.value, self._constant) else "false"
         return FiringResult([(branch, datum)])
 
 
@@ -296,8 +286,7 @@ class Converger(Behavior):
     with done=false.
     """
 
-    @staticmethod
-    def _params(config: Mapping) -> tuple[float, int]:
+    def __init__(self, config: Mapping):
         eps = config.get("eps_abs")
         max_iterations = config.get("max_iterations")
         if not isinstance(eps, (int, float)) or isinstance(eps, bool) or eps <= 0:
@@ -305,27 +294,23 @@ class Converger(Behavior):
         if not isinstance(max_iterations, int) or isinstance(max_iterations, bool) \
                 or max_iterations < 1:
             raise ComponentConfigError("BAD_CONFIG", "max_iterations must be >= 1")
-        return float(eps), max_iterations
-
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
-        Converger._params(config)
-        return ComponentInterface(
+        self._eps_abs = float(eps)
+        self._max_iterations = max_iterations
+        self._previous: Optional[float] = None
+        self.interface = ComponentInterface(
             (Endpoint("x", "input", DatumType.FLOAT, "queued"),),
             (Endpoint("loop", "output", DatumType.FLOAT),
              Endpoint("converged", "output", DatumType.FLOAT),
              Endpoint("done", "output", DatumType.BOOLEAN)))
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FiringResult:
-        eps_abs, max_iterations = self._params(ctx.config)
         x = inputs["x"].value
-        previous = ctx.state.get("previous")
-        ctx.state["previous"] = x
+        previous, self._previous = self._previous, x
         t = ctx.execution_index
-        if previous is not None and abs(x - previous) <= eps_abs:
+        if previous is not None and abs(x - previous) <= self._eps_abs:
             return FiringResult([("converged", Datum.of_float(x)),
                                  ("done", Datum.boolean(True))])
-        if t >= max_iterations:
+        if t >= self._max_iterations:
             return FiringResult([("converged", Datum.of_float(x)),
                                  ("done", Datum.boolean(False))])
         return FiringResult([("loop", Datum.of_float(x))])
@@ -337,49 +322,6 @@ class _Variable:
     lower: float
     upper: float
     initial_step: float
-
-
-def _optimizer_params(config: Mapping) -> tuple[str, list[_Variable], float, int]:
-    strategy = config.get("strategy")
-    if strategy not in ("grid", "coordinate_descent"):
-        raise ComponentConfigError("BAD_CONFIG",
-                                   "strategy must be grid or coordinate_descent")
-    raw_vars = config.get("variables")
-    if not isinstance(raw_vars, list) or not raw_vars:
-        raise ComponentConfigError("BAD_CONFIG", "variables must be a non-empty list")
-    variables: list[_Variable] = []
-    seen: set[str] = set()
-    for entry in raw_vars:
-        if not isinstance(entry, Mapping):
-            raise ComponentConfigError("BAD_CONFIG", "each variable must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not IDENT_RE.match(name) or name == "optimum":
-            raise ComponentConfigError("BAD_CONFIG", f"bad variable name {name!r}")
-        if name in seen:
-            raise ComponentConfigError("BAD_CONFIG", f"duplicate variable {name!r}")
-        seen.add(name)
-        try:
-            lower = float(entry["lower"])
-            upper = float(entry["upper"])
-            step = float(entry["initial_step"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ComponentConfigError(
-                "BAD_CONFIG", f"variable {name!r} needs numeric lower/upper/initial_step"
-            ) from exc
-        if not lower < upper:
-            raise ComponentConfigError("BAD_BOUNDS",
-                                       f"variable {name!r}: lower must be < upper")
-        if step <= 0:
-            raise ComponentConfigError("BAD_BOUNDS",
-                                       f"variable {name!r}: initial_step must be > 0")
-        variables.append(_Variable(name, lower, upper, step))
-    tol = config.get("tol")
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-        raise ComponentConfigError("TOL_NONPOSITIVE", "tol must be > 0")
-    max_evals = config.get("max_evals")
-    if not isinstance(max_evals, int) or isinstance(max_evals, bool) or max_evals < 1:
-        raise ComponentConfigError("BAD_CONFIG", "max_evals must be >= 1")
-    return strategy, variables, float(tol), max_evals
 
 
 def _grid_search(variables: list[_Variable], tol: float, max_evals: int):
@@ -452,35 +394,66 @@ class Optimizer(Behavior):
 
     starts_without_input = True
 
-    @staticmethod
-    def interface(config: Mapping) -> ComponentInterface:
-        _, variables, _, _ = _optimizer_params(config)
+    def __init__(self, config: Mapping):
+        strategy = config.get("strategy")
+        if strategy not in ("grid", "coordinate_descent"):
+            raise ComponentConfigError("BAD_CONFIG",
+                                       "strategy must be grid or coordinate_descent")
+        raw_vars = config.get("variables")
+        if not isinstance(raw_vars, list) or not raw_vars:
+            raise ComponentConfigError("BAD_CONFIG", "variables must be a non-empty list")
+        variables: list[_Variable] = []
+        seen: set[str] = set()
+        for entry in raw_vars:
+            if not isinstance(entry, Mapping):
+                raise ComponentConfigError("BAD_CONFIG", "each variable must be an object")
+            name = entry.get("name")
+            if not isinstance(name, str) or not IDENT_RE.match(name) or name == "optimum":
+                raise ComponentConfigError("BAD_CONFIG", f"bad variable name {name!r}")
+            if name in seen:
+                raise ComponentConfigError("BAD_CONFIG", f"duplicate variable {name!r}")
+            seen.add(name)
+            try:
+                lower = float(entry["lower"])
+                upper = float(entry["upper"])
+                step = float(entry["initial_step"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ComponentConfigError(
+                    "BAD_CONFIG", f"variable {name!r} needs numeric lower/upper/initial_step"
+                ) from exc
+            if not lower < upper:
+                raise ComponentConfigError("BAD_BOUNDS",
+                                           f"variable {name!r}: lower must be < upper")
+            if step <= 0:
+                raise ComponentConfigError("BAD_BOUNDS",
+                                           f"variable {name!r}: initial_step must be > 0")
+            variables.append(_Variable(name, lower, upper, step))
+        tol = config.get("tol")
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
+            raise ComponentConfigError("TOL_NONPOSITIVE", "tol must be > 0")
+        max_evals = config.get("max_evals")
+        if not isinstance(max_evals, int) or isinstance(max_evals, bool) or max_evals < 1:
+            raise ComponentConfigError("BAD_CONFIG", "max_evals must be >= 1")
+        self._variables = variables
+        self._search = _STRATEGIES[strategy](variables, float(tol), max_evals)
         outputs = tuple(Endpoint(v.name, "output", DatumType.FLOAT) for v in variables)
         outputs += (Endpoint("optimum", "output", DatumType.TEXT),)
-        return ComponentInterface(
+        self.interface = ComponentInterface(
             (Endpoint("objective", "input", DatumType.FLOAT, "queued"),), outputs)
 
-    def _emit_candidate(self, variables: list[_Variable],
-                        point: list[float]) -> FiringResult:
-        return FiringResult([(var.name, Datum.of_float(value))
-                             for var, value in zip(variables, point)])
-
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FiringResult:
-        strategy, variables, tol, max_evals = _optimizer_params(ctx.config)
-        if "search" not in ctx.state:
-            search = _STRATEGIES[strategy](variables, tol, max_evals)
-            ctx.state["search"] = search
-            return self._emit_candidate(variables, next(search))
-        search = ctx.state["search"]
         try:
-            point = search.send(inputs["objective"].value)
+            # the input-less bootstrap firing starts the search
+            point = (self._search.send(inputs["objective"].value) if inputs
+                     else next(self._search))
         except StopIteration as stop:
             report = dict(stop.value)
             report["point"] = {var.name: value for var, value
-                               in zip(variables, report["point"])}
+                               in zip(self._variables, report["point"])}
             return FiringResult([
                 ("optimum", Datum.text(json.dumps(report, sort_keys=True)))])
-        return self._emit_candidate(variables, point)
+        return FiringResult([(var.name, Datum.of_float(value))
+                             for var, value in zip(self._variables, point)])
 
 
 _BEHAVIORS: dict[str, type[Behavior]] = {
@@ -508,9 +481,10 @@ class BuiltinCatalog:
     def resolve(self, ref: ComponentRef, config: Mapping) -> Optional[ComponentInterface]:
         if not self.is_builtin(ref):
             return None
-        return _BEHAVIORS[ref.name].interface(config)
+        return self.create(ref, config).interface
 
-    def create(self, ref: ComponentRef) -> Behavior:
+    def create(self, ref: ComponentRef, config: Mapping) -> Behavior:
+        """A fresh behavior for one instance in one run."""
         if not self.is_builtin(ref):
             raise ComponentConfigError("UNKNOWN_COMPONENT", f"no built-in {ref}")
-        return _BEHAVIORS[ref.name]()
+        return _BEHAVIORS[ref.name](config)

@@ -25,7 +25,7 @@ import time
 import uuid
 from collections import deque
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol
 
@@ -79,7 +79,8 @@ class ToolDispatch(Protocol):
 class InstancePlan:
     """One instance, resolved: its interface, executing node, and behavior.
 
-    ``behavior`` is None for external tools, which go through ToolDispatch.
+    ``behavior`` is this run's own built-in object, or None for external
+    tools, which go through ToolDispatch.
     """
 
     instance: ComponentInstance
@@ -103,7 +104,6 @@ class _Slot:
     plan: InstancePlan
     queues: dict[str, deque[_Parcel]]
     constants: dict[str, Optional[_Parcel]]
-    state: dict = field(default_factory=dict)  # the behavior's own state
     fired: int = 0
     busy: bool = False
 
@@ -202,7 +202,7 @@ class Engine:
             try:
                 for slot in self._slots.values():
                     if slot.plan.behavior is not None:
-                        slot.plan.behavior.setup(self._context(slot, 0))
+                        slot.plan.behavior.setup()
             except ToolgridError as exc:
                 self.failure = {"code": exc.code, "message": exc.message}
                 self._emit("run-failed", code=exc.code, message=exc.message)
@@ -222,11 +222,6 @@ class Engine:
                 if ep.name in config:
                     slot.put(ep.name, _Parcel(
                         scalar_datum(config[ep.name], ep.datum_type), None))
-
-    def _context(self, slot: _Slot, execution_index: int) -> FiringContext:
-        return FiringContext(slot.plan.instance.instance_id, execution_index,
-                             slot.plan.instance.config, slot.state,
-                             self.store.blobs, self._work_root)
 
     # -- readiness and dispatch -------------------------------------------------
 
@@ -260,7 +255,8 @@ class Engine:
 
         if plan.behavior is not None:
             try:
-                result = plan.behavior.fire(self._context(slot, index), inputs)
+                result = plan.behavior.fire(
+                    FiringContext(inst, index, self.store.blobs, self._work_root), inputs)
             except ToolgridError as exc:
                 self._finish(ticket, error=exc)
                 return

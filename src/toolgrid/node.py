@@ -397,25 +397,6 @@ class _Publication:
         return PUBLIC if self.group_key is None else self.group_key.key_id
 
 
-class _NodeCatalog:
-    """Resolves builtins, installed descriptors, then remote announcements."""
-
-    def __init__(self, node: "Node"):
-        self._node = node
-        self._builtins = node.builtins
-
-    def resolve(self, ref: ComponentRef, config: Mapping) -> Optional[ComponentInterface]:
-        if self._builtins.is_builtin(ref):
-            return self._builtins.resolve(ref, config)
-        descriptor = self._node.descriptor(str(ref))
-        if descriptor is not None:
-            return descriptor.interface()
-        for remote in self._node.remote_components():
-            if remote.ref == ref:
-                return remote.interface
-        return None
-
-
 class Node:
     """See the module docstring; everything here is thread-safe."""
 
@@ -1019,8 +1000,17 @@ class Node:
 
     # -- controller duties ---------------------------------------------------------
 
-    def catalog(self) -> _NodeCatalog:
-        return _NodeCatalog(self)
+    def resolve(self, ref: ComponentRef, config: Mapping) -> Optional[ComponentInterface]:
+        """Resolves builtins, installed descriptors, then remote announcements."""
+        if self.builtins.is_builtin(ref):
+            return self.builtins.resolve(ref, config)
+        descriptor = self.descriptor(str(ref))
+        if descriptor is not None:
+            return descriptor.interface()
+        for remote in self.remote_components():
+            if remote.ref == ref:
+                return remote.interface
+        return None
 
     def providers(self) -> dict[ComponentRef, set[str]]:
         out: dict[ComponentRef, set[str]] = {}
@@ -1035,7 +1025,7 @@ class Node:
         return out
 
     def validate(self, graph: WorkflowGraph) -> list[Diagnostic]:
-        return validate_graph(graph, self.catalog())
+        return validate_graph(graph, self)
 
     def start_run(self, workflow_text: str, *,
                   overrides: Mapping[str, str] | None = None,
@@ -1055,9 +1045,11 @@ class Node:
         plans = []
         for instance in graph.components:
             ref = instance.component
-            interface = self.catalog().resolve(ref, instance.config)
-            behavior = (self.builtins.create(ref)
-                        if self.builtins.is_builtin(ref) else None)
+            if self.builtins.is_builtin(ref):
+                behavior = self.builtins.create(ref, instance.config)
+                interface = behavior.interface
+            else:
+                behavior, interface = None, self.resolve(ref, instance.config)
             plans.append(InstancePlan(instance, interface,
                                       plan.assignments[instance.instance_id],
                                       behavior))

@@ -59,9 +59,6 @@ class BlobStore:
         os.replace(staged, final)  # atomic; concurrent writers converge
         return digest
 
-    def put_file(self, path: Path) -> str:
-        return self.put(Path(path).read_bytes())
-
     def has(self, digest: str) -> bool:
         return DIGEST_RE.match(digest) is not None and self._path(digest).exists()
 
@@ -258,10 +255,17 @@ class RunStore:
         path = self._run_dir(run_id) / "records.log"
         if not path.exists():
             raise DataError("NOT_FOUND", f"no run {run_id!r}")
+        # Every append ends in a newline, so text after the last one is a torn
+        # append from a crash and never committed.
+        lines = path.read_text().split("\n")[:-1]
         out = []
-        for line in path.read_text().splitlines():
+        for number, line in enumerate(lines, start=1):
             if line.strip():
-                out.append(json.loads(line))
+                try:
+                    out.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise DataError("CORRUPT", f"records.log of run {run_id!r}, "
+                                               f"line {number}: {exc}") from exc
         return out
 
     def query_run(self, run_id: str, *,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
+from collections import deque
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -44,6 +45,10 @@ CLOSED = "CLOSED"
 
 BACKOFF_START = 0.1
 BACKOFF_CAP = 2.0
+
+# the in-memory relay transcript keeps this many newest lines; every line
+# also goes to the logger
+LOG_LINES_KEPT = 10_000
 
 
 def load_token_table(path: Path) -> dict[str, str]:
@@ -103,7 +108,7 @@ class RelayServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._stopping = False
         self.listen_port: Optional[int] = None
-        self.log_lines: list[str] = []
+        self.log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
 
     def _log(self, line: str) -> None:
         with self._lock:

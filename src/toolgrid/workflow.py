@@ -129,10 +129,6 @@ class WorkflowGraph:
     def inbound(self, instance_id: str) -> list[Connection]:
         return [c for c in self.connections if c.to_instance == instance_id]
 
-    def outbound(self, instance_id: str, output: str) -> list[Connection]:
-        return [c for c in self.connections
-                if c.from_instance == instance_id and c.output == output]
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -34,10 +34,8 @@ def blobs(tmp_path):
     return BlobStore(tmp_path / "blobs")
 
 
-def ctx(blobs, tmp_path, config, state=None, idx=1, inst="inst"):
-    return FiringContext(inst, idx, config,
-                         state if state is not None else {},
-                         blobs, tmp_path / "work")
+def ctx(blobs, tmp_path, idx=1, inst="inst"):
+    return FiringContext(inst, idx, blobs, tmp_path / "work")
 
 
 def emitted(result):
@@ -48,9 +46,9 @@ def emitted(result):
 
 
 def test_provider_interface_infers_types(tmp_path):
-    iface = InputProvider.interface(
+    iface = InputProvider(
         {"values": {"n": 3, "r": 0.5, "ok": True, "tag": "x"},
-         "files": {"data": str(tmp_path / "d.bin")}})
+         "files": {"data": str(tmp_path / "d.bin")}}).interface
     assert iface.inputs == ()
     types = {e.name: e.datum_type for e in iface.outputs}
     assert types == {"n": DatumType.INTEGER, "r": DatumType.FLOAT,
@@ -60,22 +58,22 @@ def test_provider_interface_infers_types(tmp_path):
 
 def test_provider_config_rules():
     with pytest.raises(ComponentConfigError):
-        InputProvider.interface({})  # emits nothing
+        InputProvider({}).interface  # emits nothing
     with pytest.raises(ComponentConfigError):
-        InputProvider.interface({"values": {"bad name": 1}})
+        InputProvider({"values": {"bad name": 1}}).interface
     with pytest.raises(ComponentConfigError):
-        InputProvider.interface({"values": {"x": [1, 2]}})
+        InputProvider({"values": {"x": [1, 2]}}).interface
     with pytest.raises(ComponentConfigError):
-        InputProvider.interface({"values": "nope"})
+        InputProvider({"values": "nope"}).interface
 
 
 def test_provider_emits_values_and_files(blobs, tmp_path):
     payload = tmp_path / "table.csv"
     payload.write_bytes(b"1,2\n")
     config = {"values": {"n": 3}, "files": {"table": str(payload)}}
-    provider = InputProvider()
-    provider.setup(ctx(blobs, tmp_path, config))
-    out = emitted(provider.fire(ctx(blobs, tmp_path, config), {}))
+    provider = InputProvider(config)
+    provider.setup()
+    out = emitted(provider.fire(ctx(blobs, tmp_path), {}))
     assert out["n"] == Datum.integer(3)
     assert out["table"].type is DatumType.FILE
     assert out["table"].value.filename == "table.csv"
@@ -85,7 +83,7 @@ def test_provider_emits_values_and_files(blobs, tmp_path):
 def test_provider_setup_requires_files_exist(blobs, tmp_path):
     config = {"files": {"gone": str(tmp_path / "missing.bin")}}
     with pytest.raises(ComponentConfigError) as err:
-        InputProvider().setup(ctx(blobs, tmp_path, config))
+        InputProvider(config).setup()
     assert err.value.code == "FILE_NOT_FOUND"
 
 
@@ -93,26 +91,26 @@ def test_provider_setup_requires_files_exist(blobs, tmp_path):
 
 
 def test_writer_interface_rules(tmp_path):
-    iface = OutputWriter.interface(
-        {"target": str(tmp_path), "inputs": {"x": "float", "f": "file"}})
+    iface = OutputWriter(
+        {"target": str(tmp_path), "inputs": {"x": "float", "f": "file"}}).interface
     assert iface.outputs == ()
     assert {e.name for e in iface.inputs} == {"x", "f"}
     with pytest.raises(ComponentConfigError):
-        OutputWriter.interface({"inputs": {"x": "float"}})  # no target
+        OutputWriter({"inputs": {"x": "float"}}).interface  # no target
     with pytest.raises(ComponentConfigError):
-        OutputWriter.interface({"target": str(tmp_path)})  # consumes nothing
+        OutputWriter({"target": str(tmp_path)}).interface  # consumes nothing
 
 
 def test_writer_records_scalars_and_files(blobs, tmp_path):
     target = tmp_path / "results"
     config = {"target": str(target), "inputs": {"x": "float", "f": "file"}}
-    writer = OutputWriter()
-    writer.setup(ctx(blobs, tmp_path, config))
+    writer = OutputWriter(config)
+    writer.setup()
     digest = blobs.put(b"bytes")
 
-    writer.fire(ctx(blobs, tmp_path, config, inst="w", idx=1),
+    writer.fire(ctx(blobs, tmp_path, inst="w", idx=1),
                 {"x": Datum.of_float(1.5), "f": Datum.file(digest, "out.bin")})
-    writer.fire(ctx(blobs, tmp_path, config, inst="w", idx=2),
+    writer.fire(ctx(blobs, tmp_path, inst="w", idx=2),
                 {"x": Datum.of_float(2.5), "f": Datum.file(digest, "out.bin")})
 
     lines = [json.loads(l) for l in (target / "values.log").read_text().splitlines()]
@@ -127,12 +125,12 @@ def test_writer_records_scalars_and_files(blobs, tmp_path):
 def test_writer_never_overwrites(blobs, tmp_path):
     target = tmp_path / "results"
     config = {"target": str(target), "inputs": {"f": "file"}}
-    writer = OutputWriter()
-    writer.setup(ctx(blobs, tmp_path, config))
+    writer = OutputWriter(config)
+    writer.setup()
     digest = blobs.put(b"v1")
-    writer.fire(ctx(blobs, tmp_path, config, idx=1), {"f": Datum.file(digest, "a")})
+    writer.fire(ctx(blobs, tmp_path, idx=1), {"f": Datum.file(digest, "a")})
     with pytest.raises(DataError) as err:
-        writer.fire(ctx(blobs, tmp_path, config, idx=1), {"f": Datum.file(digest, "a")})
+        writer.fire(ctx(blobs, tmp_path, idx=1), {"f": Datum.file(digest, "a")})
     assert err.value.code == "WOULD_OVERWRITE"
 
 
@@ -141,7 +139,7 @@ def test_writer_target_must_be_mkdirable(blobs, tmp_path):
     blocker.write_text("in the way")
     config = {"target": str(blocker), "inputs": {"x": "float"}}
     with pytest.raises(ComponentConfigError) as err:
-        OutputWriter().setup(ctx(blobs, tmp_path, config))
+        OutputWriter(config).setup()
     assert err.value.code == "TARGET_UNWRITABLE"
 
 
@@ -149,10 +147,10 @@ def test_writer_target_must_be_mkdirable(blobs, tmp_path):
 
 
 def test_script_interface_and_handling(tmp_path):
-    iface = Script.interface({
+    iface = Script({
         "command": "run ${in:x} ${out:y}",
         "inputs": {"x": "float", "mode": "text:constant"},
-        "outputs": {"y": "float"}})
+        "outputs": {"y": "float"}}).interface
     assert iface.input("x").handling == "queued"
     assert iface.input("mode").handling == "constant"
     assert iface.output("y").datum_type is DatumType.FLOAT
@@ -160,20 +158,20 @@ def test_script_interface_and_handling(tmp_path):
 
 def test_script_tolerates_seed_keys_in_config():
     # loop bootstrap stores the seed under the endpoint's own name
-    iface = Script.interface({
-        "command": "run", "inputs": {"x": "float"}, "outputs": {}, "x": 1.0})
+    iface = Script({
+        "command": "run", "inputs": {"x": "float"}, "outputs": {}, "x": 1.0}).interface
     assert iface.input("x") is not None
 
 
 def test_script_config_rules():
     with pytest.raises(ComponentConfigError):
-        Script.interface({"inputs": {}, "outputs": {}})  # no command
+        Script({"inputs": {}, "outputs": {}}).interface  # no command
     with pytest.raises(ComponentConfigError):
-        Script.interface({"command": "   ", "inputs": {}, "outputs": {}})
+        Script({"command": "   ", "inputs": {}, "outputs": {}}).interface
     with pytest.raises(ComponentConfigError):
-        Script.interface({"command": "run ${in:ghost}", "inputs": {}, "outputs": {}})
+        Script({"command": "run ${in:ghost}", "inputs": {}, "outputs": {}}).interface
     with pytest.raises(ComponentConfigError):
-        Script.interface({"command": "run", "inputs": {"x": "nope"}, "outputs": {}})
+        Script({"command": "run", "inputs": {"x": "nope"}, "outputs": {}}).interface
 
 
 def test_script_fire_returns_thunk(blobs, tmp_path):
@@ -182,7 +180,7 @@ def test_script_fire_returns_thunk(blobs, tmp_path):
                       "(wd / 'outputs.json').write_text(json.dumps({'y': doc['x'] * 2}))\n")
     config = {"command": f"{PY} {script} ${{workdir}}",
               "inputs": {"x": "float"}, "outputs": {"y": "float"}}
-    thunk = Script().fire(ctx(blobs, tmp_path, config), {"x": Datum.of_float(2.5)})
+    thunk = Script(config).fire(ctx(blobs, tmp_path), {"x": Datum.of_float(2.5)})
     assert callable(thunk)
     result = thunk()
     assert isinstance(result, FiringResult)
@@ -196,13 +194,13 @@ def test_script_fire_returns_thunk(blobs, tmp_path):
 
 def test_switch_numeric_conditions(blobs, tmp_path):
     config = {"condition": "< 10"}
-    iface = Switch.interface(config)
+    iface = Switch(config).interface
     assert iface.input("value").datum_type is DatumType.FLOAT
     assert {e.name for e in iface.outputs} == {"true", "false"}
 
-    low = Switch().fire(ctx(blobs, tmp_path, config), {"value": Datum.of_float(3.0)})
+    low = Switch(config).fire(ctx(blobs, tmp_path), {"value": Datum.of_float(3.0)})
     assert emitted(low) == {"true": Datum.of_float(3.0)}
-    high = Switch().fire(ctx(blobs, tmp_path, config), {"value": Datum.of_float(10.0)})
+    high = Switch(config).fire(ctx(blobs, tmp_path), {"value": Datum.of_float(10.0)})
     assert emitted(high) == {"false": Datum.of_float(10.0)}
 
 
@@ -213,33 +211,33 @@ def test_switch_operator_spellings(blobs, tmp_path):
                               ("≠ 10", "false"), ("!= 3", "true"),
                               ("= 10", "true"), ("== 10", "true"),
                               ("> 9.5", "true"), ("< 10", "false")):
-        result = Switch().fire(ctx(blobs, tmp_path, {"condition": condition}), value)
+        result = Switch({"condition": condition}).fire(ctx(blobs, tmp_path), value)
         assert list(emitted(result)) == [branch], condition
 
 
 def test_switch_text_and_boolean_conditions(blobs, tmp_path):
     config = {"condition": '== "ready"'}
-    assert Switch.interface(config).input("value").datum_type is DatumType.TEXT
-    result = Switch().fire(ctx(blobs, tmp_path, config), {"value": Datum.text("ready")})
+    assert Switch(config).interface.input("value").datum_type is DatumType.TEXT
+    result = Switch(config).fire(ctx(blobs, tmp_path), {"value": Datum.text("ready")})
     assert list(emitted(result)) == ["true"]
 
     config = {"condition": "!= true"}
-    assert Switch.interface(config).input("value").datum_type is DatumType.BOOLEAN
-    result = Switch().fire(ctx(blobs, tmp_path, config), {"value": Datum.boolean(False)})
+    assert Switch(config).interface.input("value").datum_type is DatumType.BOOLEAN
+    result = Switch(config).fire(ctx(blobs, tmp_path), {"value": Datum.boolean(False)})
     assert list(emitted(result)) == ["true"]
 
 
 def test_switch_condition_rejections():
     for condition in (None, "10 <", "<", "< [1]", "~ 10", '< "text"', "≥ false"):
         with pytest.raises(ComponentConfigError):
-            Switch.interface({"condition": condition})
+            Switch({"condition": condition}).interface
 
 
 # --- converger --------------------------------------------------------------------
 
 
 def test_converger_interface():
-    iface = Converger.interface({"eps_abs": 1e-6, "max_iterations": 10})
+    iface = Converger({"eps_abs": 1e-6, "max_iterations": 10}).interface
     assert iface.input("x").datum_type is DatumType.FLOAT
     assert {e.name for e in iface.outputs} == {"loop", "converged", "done"}
     for config in ({"eps_abs": 0, "max_iterations": 5},
@@ -247,15 +245,14 @@ def test_converger_interface():
                    {"eps_abs": True, "max_iterations": 5},
                    {"max_iterations": 5}):
         with pytest.raises(ComponentConfigError):
-            Converger.interface(config)
+            Converger(config).interface
 
 
 def drive_converger(config, series):
-    conv = Converger()
-    state = {}
+    conv = Converger(config)
     outcome = []
     for i, x in enumerate(series, start=1):
-        c = FiringContext("conv", i, config, state, None, None)
+        c = FiringContext("conv", i, None, None)
         outcome = conv.fire(c, {"x": Datum.of_float(x)}).emissions
         routed = dict(outcome)
         if "loop" not in routed:
@@ -275,8 +272,8 @@ def test_converger_babylonian_iterates():
 
 def test_converger_first_value_always_loops(blobs, tmp_path):
     config = {"eps_abs": 100.0, "max_iterations": 5}
-    result = Converger().fire(
-        FiringContext("c", 1, config, {}, blobs, tmp_path), {"x": Datum.of_float(7.0)})
+    result = Converger(config).fire(
+        FiringContext("c", 1, blobs, tmp_path), {"x": Datum.of_float(7.0)})
     assert dict(result.emissions) == {"loop": Datum.of_float(7.0)}
 
 
@@ -300,7 +297,7 @@ def opt_config(strategy, tol=1e-3, max_evals=200, **var):
 
 
 def test_optimizer_interface():
-    iface = Optimizer.interface(opt_config("grid"))
+    iface = Optimizer(opt_config("grid")).interface
     assert iface.input("objective").handling == "queued"
     assert {e.name for e in iface.outputs} == {"x", "optimum"}
     assert Optimizer.starts_without_input is True
@@ -319,13 +316,13 @@ def test_optimizer_config_rejections():
     ]
     for config in bad:
         with pytest.raises(ComponentConfigError):
-            Optimizer.interface(config)
+            Optimizer(config).interface
     with pytest.raises(ComponentConfigError):
-        Optimizer.interface({"strategy": "grid", "tol": 1e-3, "max_evals": 5,
+        Optimizer({"strategy": "grid", "tol": 1e-3, "max_evals": 5,
                              "variables": [{"name": "a", "lower": 0, "upper": 1,
                                             "initial_step": 0.5},
                                            {"name": "a", "lower": 0, "upper": 1,
-                                            "initial_step": 0.5}]})
+                                            "initial_step": 0.5}]}).interface
 
 
 def drive_search(gen, objective):
@@ -403,9 +400,8 @@ def test_optimizer_behavior_loop(blobs, tmp_path):
     # drive the behavior exactly as the engine would: bootstrap firing first,
     # then one firing per objective value
     config = opt_config("coordinate_descent")
-    state = {}
-    opt = Optimizer()
-    result = opt.fire(FiringContext("opt", 1, config, state, blobs, tmp_path), {})
+    opt = Optimizer(config)
+    result = opt.fire(FiringContext("opt", 1, blobs, tmp_path), {})
     evaluations = 0
     idx = 1
     while True:
@@ -415,7 +411,7 @@ def test_optimizer_behavior_loop(blobs, tmp_path):
         evaluations += 1
         x = routed["x"].value
         idx += 1
-        result = opt.fire(FiringContext("opt", idx, config, state, blobs, tmp_path),
+        result = opt.fire(FiringContext("opt", idx, blobs, tmp_path),
                           {"objective": Datum.of_float((x - 3.0) ** 2)})
     report = json.loads(routed["optimum"].value)
     assert report == {"evaluations": 24, "point": {"x": 3.0}, "value": 0.0}
@@ -433,6 +429,6 @@ def test_catalog_surface():
     assert catalog.is_builtin(ref)
     assert not catalog.is_builtin(ComponentRef("switch", "2"))
     assert catalog.resolve(ComponentRef("ghost", "1"), {}) is None
-    assert isinstance(catalog.create(ref), Switch)
+    assert isinstance(catalog.create(ref, {"condition": "< 10"}), Switch)
     with pytest.raises(ComponentConfigError):
-        catalog.create(ComponentRef("ghost", "1"))
+        catalog.create(ComponentRef("ghost", "1"), {})

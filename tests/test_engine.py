@@ -348,3 +348,28 @@ def test_records_log_keeps_dispatch_order(node, tmp_path):
     sink = node.store.query_run(engine.run_id, instance_id="sink")[0]
     assert sink.inputs["k"] == {"type": "float", "value": 2.0}
     assert sink.upstream["k"] is None
+
+
+def test_loop_state_is_per_run(node):
+    # each run builds its own optimizer, so a second run of the same
+    # workflow on the same node searches the whole grid again
+    text = workflow(
+        "rerun",
+        [instance("opt", "optimizer@1",
+                  {"strategy": "grid",
+                   "variables": [{"name": "x", "lower": 0.0, "upper": 4.0,
+                                  "initial_step": 1.0}],
+                   "tol": 1e-3, "max_evals": 5}),
+         instance("gate", "switch@1", {"condition": ">= -1.0"})],
+        [edge("opt.x", "gate.value"), edge("gate.true", "opt.objective")])
+    optima = []
+    for _ in range(2):
+        engine = node.start_run(text)
+        assert engine.wait(60) == "COMPLETED"
+        records = node.store.query_run(engine.run_id)
+        assert len([r for r in records if r.instance_id == "gate"]) == 5
+        driver = [r for r in records if r.instance_id == "opt"]
+        assert len(driver) == 6  # the bootstrap plus one per evaluation
+        optima.append(json.loads(driver[-1].outputs["optimum"]["value"]))
+    assert optima[0] == optima[1] == {"evaluations": 5, "point": {"x": 0.0},
+                                      "value": 0.0}

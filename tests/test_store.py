@@ -260,3 +260,33 @@ def test_export_reads_the_records_once(store, tmp_path, monkeypatch):
     manifest = store.export_run("r1", tmp_path / "export")
     assert calls == [("r1",)]
     assert f"blobs/{digest[:2]}/{digest}" in [f["path"] for f in manifest["files"]]
+
+
+def test_torn_last_line_is_ignored(store, tmp_path):
+    # a crash during an append leaves an unterminated last line behind
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.append_event("r1", 10, "run-started")
+    store.record_execution("r1", record())
+    store.close_run("r1", "FAILED")
+    log = tmp_path / "store" / "runs" / "r1" / "records.log"
+    with open(log, "a") as fh:
+        fh.write('{"kind": "event", "at": 30, "ev')
+    torn = log.read_bytes()
+    assert [e["event"] for e in store.events("r1")] == ["run-started"]
+    assert len(store.query_run("r1")) == 1
+    store.export_run("r1", tmp_path / "export")
+    assert (tmp_path / "export" / "records.log").read_bytes() == torn
+
+
+def test_undecodable_inner_line_is_corrupt(store, tmp_path):
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.append_event("r1", 10, "run-started")
+    log = tmp_path / "store" / "runs" / "r1" / "records.log"
+    with open(log, "a") as fh:
+        fh.write("{not json\n")
+    store.append_event("r1", 20, "run-finished", state="COMPLETED")
+    for call in (lambda: store.events("r1"), lambda: store.query_run("r1")):
+        with pytest.raises(DataError) as err:
+            call()
+        assert err.value.code == "CORRUPT"
+        assert "line 2" in err.value.message

@@ -9,7 +9,7 @@ from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import ConfigError, NetworkError
 from toolgrid.groups import PUBLIC, new_group_key
-from toolgrid.uplink import ALLOWLIST, RelayServer, load_token_table
+from toolgrid.uplink import ALLOWLIST, LOG_LINES_KEPT, RelayServer, load_token_table
 from toolgrid.values import Datum
 from toolgrid.wire import Frame, FrameReader
 
@@ -75,6 +75,15 @@ def activate(connect, client_id="acme"):
     hello = client.expect(wire.HELLO)
     assert hello.body["relay"] is True
     return client
+
+
+def test_relay_log_keeps_only_the_newest_lines():
+    server = RelayServer(TOKENS)
+    for i in range(LOG_LINES_KEPT + 5):
+        server._log(f"line {i}")
+    assert len(server.log_lines) == LOG_LINES_KEPT
+    assert server.log_lines[0] == "line 5"
+    assert server.log_lines[-1] == f"line {LOG_LINES_KEPT + 4}"
 
 
 # -- token table ---------------------------------------------------------------------

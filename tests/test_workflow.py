@@ -78,7 +78,8 @@ def test_parse_study_document():
 
     assert graph.connections[0] == Connection("scenarios", "case", "aero", "case")
     assert graph.inbound("summary") == list(graph.connections[4:])
-    assert graph.outbound("scenarios", "case") == [graph.connections[0]]
+    assert [c for c in graph.connections
+            if (c.from_instance, c.output) == ("scenarios", "case")] == [graph.connections[0]]
 
 
 def test_component_ref_forms():
