@@ -21,6 +21,7 @@ import json
 import re
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
@@ -55,9 +56,13 @@ class GroupKey:
             raise CryptoError("BAD_SECRET_LENGTH",
                               f"secret must be {SECRET_LEN} bytes, got {len(self.secret)}")
 
+    @cached_property
+    def material(self) -> KeyMaterial:
+        return derive_group_key_material(self.secret)
+
     @property
     def key_id(self) -> str:
-        return derive_group_key_material(self.secret).key_id
+        return self.material.key_id
 
     def display(self) -> str:
         return f"{self.name}/{self.key_id}"

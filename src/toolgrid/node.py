@@ -37,10 +37,9 @@ from .errors import (ConfigError, CryptoError, EngineError, NetworkError,
                      PlacementError, ToolExecutionError, ToolgridError,
                      WorkflowParseError)
 from .groups import (PUBLIC, GroupKey, announcement_slot, decrypt_announcement,
-                     decrypt_payload_json, derive_group_key_material,
-                     encrypt_announcement, encrypt_payload_json,
-                     load_group_keys, membership_proof, new_challenge,
-                     save_group_key, verify_proof)
+                     decrypt_payload_json, encrypt_announcement,
+                     encrypt_payload_json, load_group_keys, membership_proof,
+                     new_challenge, save_group_key, verify_proof)
 from .store import RunStore
 from .tools import ExecutionOutcome, ToolDescriptor, execute_tool, parse_descriptor
 from .values import Datum, DatumType, datum_from_json
@@ -52,8 +51,30 @@ from .workflow import (ComponentInstance, ComponentInterface, ComponentRef,
 log = logging.getLogger("toolgrid.node")
 
 HANDSHAKE_TIMEOUT = 10.0
+# caps how long a peer can hold a hosting worker before its tool starts
 REQUEST_TIMEOUT = 60.0
 ZERO_MAC_KEY = b"\x00" * 32  # lets non-members answer a challenge, unprovably
+
+# TCP keepalive: probe after this much silence, then every interval, and reset
+# the connection after this many unanswered probes (about 30 s in all)
+KEEPALIVE_IDLE = 15
+KEEPALIVE_INTERVAL = 5
+KEEPALIVE_COUNT = 3
+
+
+def keepalive(sock: socket.socket) -> socket.socket:
+    """Let the kernel notice a peer that vanished without closing.
+
+    A request has no deadline of its own, so a dead host must end the
+    connection; the reader then closes the channel and wakes its waiters.
+    """
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+    for option, value in (("TCP_KEEPIDLE", KEEPALIVE_IDLE),
+                          ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL),
+                          ("TCP_KEEPCNT", KEEPALIVE_COUNT)):
+        if hasattr(socket, option):
+            sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, option), value)
+    return sock
 
 
 def canonical_digest(body: Mapping) -> bytes:
@@ -149,7 +170,7 @@ class Registry:
                 key = keys.get(group)
                 if key is None:
                     continue
-                material = derive_group_key_material(key.secret)
+                material = key.material
                 try:
                     raw = base64.b64decode(entry.payload.get("ciphertext", ""))
                     plain = decrypt_payload_json(raw, material.enc_key)
@@ -182,8 +203,9 @@ class Channel:
     Request-scoped frames (anything carrying a request_id) get routed to a
     queue owned by whichever side is waiting on that request. Closing the
     channel puts None into every pending queue, so no waiter outlives the
-    connection. Subclasses say which requests they serve and whose
-    announcements they admit; Node._on_frame does the rest.
+    connection, and nothing else ends a request. Subclasses say which
+    requests they serve and whose announcements they admit; Node._on_frame
+    does the rest.
     """
 
     SERVES: frozenset = frozenset()  # inbound request types handed to workers
@@ -230,18 +252,14 @@ class Channel:
             self._pending.pop(request_id, None)
 
     def request(self, frame_type: int, body: Mapping,
-                timeout: float) -> Optional[Frame]:
-        """Send a request that has one reply and wait for it.
-
-        Returns None if the channel closes first; raises NetworkError when
-        no reply arrives within ``timeout``.
-        """
+                deadline: Optional[float] = None) -> Frame:
+        """Send a request that has one reply and wait for it (see _reply)."""
         request_id = uuid.uuid4().hex
         queue = self.request_queue(request_id)
         try:
-            if not self.send(Frame(frame_type, dict(body, request_id=request_id))):
-                return None
-            return _await(queue, time.monotonic() + timeout)
+            # a failed send closes the channel, which wakes the queue
+            self.send(Frame(frame_type, dict(body, request_id=request_id)))
+            return _reply(queue, deadline)
         finally:
             self.drop_queue(request_id)
 
@@ -276,7 +294,6 @@ class PeerSession(Channel):
     def __init__(self, node: "Node", sock: socket.socket):
         super().__init__(node, sock)
         self._reader: Optional[FrameReader] = None
-        self._thread: Optional[threading.Thread] = None
         self.peer_node_id = ""
         self.peer_display_name = ""
 
@@ -317,9 +334,8 @@ class PeerSession(Channel):
         sock.settimeout(None)
 
     def start_reader(self) -> None:
-        self._thread = threading.Thread(target=self._reader_loop, daemon=True,
-                                        name=f"peer-{self.peer_node_id[:8]}")
-        self._thread.start()
+        threading.Thread(target=self._reader_loop, daemon=True,
+                         name=f"peer-{self.peer_node_id[:8]}").start()
 
     def _reader_loop(self) -> None:
         try:
@@ -346,14 +362,24 @@ class PeerSession(Channel):
         self._node._session_closed(self)
 
 
-def _await(queue: SimpleQueue, deadline: float) -> Optional[Frame]:
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise NetworkError("TRANSPORT", "timed out waiting for the peer")
+def _reply(queue: SimpleQueue, deadline: Optional[float] = None) -> Frame:
+    """The next frame of a request, waiting as long as the channel is open.
+
+    Raises NetworkError(TRANSPORT) once the channel closes or the optional
+    monotonic ``deadline`` passes, and the frame's own code for an ERROR
+    (such as the relay's ROUTE_UNAVAILABLE).
+    """
     try:
-        frame = queue.get(timeout=remaining)
+        frame = queue.get(timeout=None if deadline is None
+                          else max(deadline - time.monotonic(), 0))
     except Empty:
         raise NetworkError("TRANSPORT", "timed out waiting for the peer") from None
+    if frame is None:
+        raise NetworkError("TRANSPORT", "connection closed mid-request")
+    if frame.type == wire.ERROR:
+        error = frame.body or {}
+        raise NetworkError(str(error.get("code", "TRANSPORT")),
+                           str(error.get("message", "routing failed")))
     return frame
 
 
@@ -424,7 +450,6 @@ class Node:
         self._pool = ThreadPoolExecutor(max_workers=16,
                                         thread_name_prefix=f"node-{self.node_id[:6]}")
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self.listen_port: Optional[int] = None
         self.uplink = None  # set by start() or by the test harness
         self._stopping = False
@@ -525,7 +550,7 @@ class Node:
         plain.update(interface_to_json(descriptor.interface()))
         if publication.group_key is None:
             return descriptor.name, plain
-        material = derive_group_key_material(publication.group_key.secret)
+        material = publication.group_key.material
         slot = announcement_slot(material.mac_key, descriptor.name)
         ciphertext = encrypt_payload_json(plain, material.enc_key)
         return slot, {"ciphertext": base64.b64encode(ciphertext).decode()}
@@ -595,10 +620,8 @@ class Node:
                                f"cannot listen on {host}:{port}: {exc}") from exc
         self._listener = listener
         self.listen_port = listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True,
-            name=f"accept-{self.node_id[:6]}")
-        self._accept_thread.start()
+        threading.Thread(target=self._accept_loop, daemon=True,
+                         name=f"accept-{self.node_id[:6]}").start()
         return self.listen_port
 
     def _accept_loop(self) -> None:
@@ -607,7 +630,7 @@ class Node:
                 sock, _ = self._listener.accept()
             except OSError:
                 return
-            self._pool.submit(self._adopt, sock)
+            self._pool.submit(self._adopt, keepalive(sock))
 
     def _adopt(self, sock: socket.socket) -> None:
         try:
@@ -621,7 +644,7 @@ class Node:
         except OSError as exc:
             raise NetworkError("CONNECT_FAILED",
                                f"cannot reach {address[0]}:{address[1]}: {exc}") from exc
-        return self.attach(sock)
+        return self.attach(keepalive(sock))
 
     def attach(self, sock: socket.socket) -> PeerSession:
         """Adopt a connected socket: handshake, register, exchange listings."""
@@ -651,10 +674,10 @@ class Node:
         if session is None:
             return False
         try:
-            frame = session.request(wire.PING, {}, timeout)
+            frame = session.request(wire.PING, {}, time.monotonic() + timeout)
         except NetworkError:
             return False
-        return frame is not None and frame.type == wire.PONG
+        return frame.type == wire.PONG
 
     def stop(self) -> None:
         self._stopping = True
@@ -736,44 +759,33 @@ class Node:
             refuse("UNKNOWN_COMPONENT", f"{component!r} is not offered here")
             return
 
+        # the proof and the input blobs must arrive in time; the tool's own
+        # run has no deadline
         deadline = time.monotonic() + REQUEST_TIMEOUT
-        early: list[Frame] = []
-        if publication.group_key is not None:
-            nonce = new_challenge()
-            channel.send(Frame(wire.CHALLENGE, {
-                "request_id": request_id, "nonce": nonce.hex()}))
-            request_digest = canonical_digest(body)
-            tag = None
-            while tag is None:
-                try:
-                    incoming = _await(queue, deadline)
-                except NetworkError:
-                    refuse("TRANSPORT", "no membership proof arrived")
-                    return
-                if incoming is None:
-                    return  # caller went away
-                if incoming.type == wire.PROOF:
-                    tag = str((incoming.body or {}).get("tag", ""))
-                elif incoming.type == wire.BLOB_CHUNK:
-                    early.append(incoming)
-            material = derive_group_key_material(publication.group_key.secret)
-            try:
-                tag_bytes = bytes.fromhex(tag)
-            except ValueError:
-                tag_bytes = b""
-            if len(tag_bytes) != 32 or not verify_proof(
-                    material.mac_key, nonce, request_digest, tag_bytes):
-                refuse("AUTH_FAILED", "membership proof rejected")
-                return
-
         collector = _BlobCollector(set(body.get("blobs", [])))
         try:
-            for chunk in early:
-                collector.feed(chunk)
-            while not collector.complete:
-                incoming = _await(queue, deadline)
-                if incoming is None:
+            if publication.group_key is not None:
+                nonce = new_challenge()
+                channel.send(Frame(wire.CHALLENGE, {
+                    "request_id": request_id, "nonce": nonce.hex()}))
+                tag = None
+                while tag is None:
+                    incoming = _reply(queue, deadline)
+                    if incoming.type == wire.PROOF:
+                        tag = str((incoming.body or {}).get("tag", ""))
+                    elif incoming.type == wire.BLOB_CHUNK:
+                        collector.feed(incoming)  # buffered, stored only once proven
+                try:
+                    tag_bytes = bytes.fromhex(tag)
+                except ValueError:
+                    tag_bytes = b""
+                if len(tag_bytes) != 32 or not verify_proof(
+                        publication.group_key.material.mac_key, nonce,
+                        canonical_digest(body), tag_bytes):
+                    refuse("AUTH_FAILED", "membership proof rejected")
                     return
+            while not collector.complete:
+                incoming = _reply(queue, deadline)
                 if incoming.type == wire.BLOB_CHUNK:
                     collector.feed(incoming)
         except NetworkError as exc:
@@ -846,8 +858,8 @@ class Node:
         if publication.group_key is None:
             payload = {"encrypted": False, "doc": doc}
         else:
-            material = derive_group_key_material(publication.group_key.secret)
-            ciphertext = encrypt_announcement(doc.encode(), material.enc_key)
+            ciphertext = encrypt_announcement(
+                doc.encode(), publication.group_key.material.enc_key)
             payload = {"encrypted": True,
                        "doc": base64.b64encode(ciphertext).decode()}
         payload.update({"request_id": request_id, "ok": True})
@@ -873,9 +885,12 @@ class Node:
         raise NetworkError("UNREACHABLE", f"no route to node {publisher[:12]}")
 
     def remote_execute(self, publisher: str, component: str, group: str,
-                       inputs: Mapping[str, Datum], *,
-                       timeout: float = REQUEST_TIMEOUT) -> ExecutionOutcome:
-        """Run a peer's published tool; blobs and logs travel chunked."""
+                       inputs: Mapping[str, Datum]) -> ExecutionOutcome:
+        """Run a peer's published tool; blobs and logs travel chunked.
+
+        Waits as long as the tool runs; only the result or the end of the
+        connection (or the relay's route) ends the wait.
+        """
         channel, wire_name, target = self._route(publisher, component)
         request_id = uuid.uuid4().hex
         body: dict = {
@@ -892,27 +907,21 @@ class Node:
 
         queue = channel.request_queue(request_id)
         try:
-            if not channel.send(Frame(wire.EXEC_REQUEST, body)):
-                raise NetworkError("TRANSPORT", "could not send the request")
+            channel.send(Frame(wire.EXEC_REQUEST, body))
             for digest in body["blobs"]:
                 for chunk in chunk_frames(wire.BLOB_CHUNK, {
                         "request_id": request_id, "digest": digest,
                         "role": "input"}, self.blobs.get(digest)):
                     channel.send(chunk)
-
-            deadline = time.monotonic() + timeout
             collector = _BlobCollector(set())
             logs = {"stdout": bytearray(), "stderr": bytearray()}
             result: Optional[dict] = None
             while result is None:
-                frame = _await(queue, deadline)
-                if frame is None:
-                    raise NetworkError("TRANSPORT", "connection closed mid-request")
+                frame = _reply(queue)
                 if frame.type == wire.CHALLENGE:
                     nonce = bytes.fromhex(str((frame.body or {}).get("nonce", "")))
                     key = self.group_keys.get(group)
-                    mac_key = (derive_group_key_material(key.secret).mac_key
-                               if key is not None else ZERO_MAC_KEY)
+                    mac_key = key.material.mac_key if key is not None else ZERO_MAC_KEY
                     tag = membership_proof(mac_key, nonce, request_digest)
                     reply: dict = {"request_id": request_id, "tag": tag.hex()}
                     if target is not None:
@@ -927,10 +936,6 @@ class Node:
                     collector.feed(frame)
                 elif frame.type == wire.EXEC_RESULT:
                     result = frame.body or {}
-                elif frame.type == wire.ERROR:
-                    error = frame.body or {}
-                    raise NetworkError(str(error.get("code", "TRANSPORT")),
-                                       str(error.get("message", "routing failed")))
         finally:
             channel.drop_queue(request_id)
 
@@ -971,17 +976,13 @@ class Node:
             workdir="")
 
     def request_documentation(self, publisher: str, component: str,
-                              group: str, *, timeout: float = 30.0) -> str:
+                              group: str) -> str:
         channel, wire_name, target = self._route(publisher, component)
         body = {"component": wire_name, "group": group}
         if target is not None:
             body["target"] = target
-        frame = channel.request(wire.DOC_REQUEST, body, timeout)
-        if frame is not None and frame.type == wire.ERROR:
-            error = frame.body or {}
-            raise NetworkError(str(error.get("code", "TRANSPORT")),
-                               str(error.get("message", "routing failed")))
-        if frame is None or frame.type != wire.DOC_RESPONSE:
+        frame = channel.request(wire.DOC_REQUEST, body)
+        if frame.type != wire.DOC_RESPONSE:
             raise NetworkError("TRANSPORT", "no documentation response")
         reply = frame.body or {}
         if not reply.get("ok"):
@@ -994,9 +995,8 @@ class Node:
         key = self.group_keys.get(group)
         if key is None:
             raise CryptoError("DECRYPT_FAILED", f"no key held for group {group}")
-        material = derive_group_key_material(key.secret)
         return decrypt_announcement(base64.b64decode(doc),
-                                    material.enc_key).decode()
+                                    key.material.enc_key).decode()
 
     # -- controller duties ---------------------------------------------------------
 
@@ -1099,21 +1099,19 @@ class Node:
             doc.update(fields)
             return doc
 
-        watch = bool(body.get("watch"))
-        finished = threading.Event()
-
         def forward(run_event: dict) -> None:
+            # the engine's threads call this; once the submitting client
+            # disconnects the sends fail and the run carries on regardless
             session.send(Frame(wire.RUN_EVENT, event("event", event_doc=run_event)))
             if run_event.get("event") == "run-finished":
                 session.send(Frame(wire.RUN_EVENT,
                                    event("done", state=run_event.get("state"))))
-                finished.set()
 
         try:
             engine = self.start_run(
                 str(body.get("workflow", "")),
                 overrides=body.get("overrides") or None,
-                on_event=forward if watch else None)
+                on_event=forward if body.get("watch") else None)
         except (WorkflowParseError, EngineError, PlacementError) as exc:
             diagnostics = [
                 {"severity": d.severity, "code": d.code,
@@ -1124,10 +1122,6 @@ class Node:
                 diagnostics=diagnostics)))
             return
         session.send(Frame(wire.RUN_EVENT, event("accepted", run_id=engine.run_id)))
-        if watch:
-            # the submitting client may disconnect at any moment; the run
-            # continues regardless and the forwarder just starts failing
-            finished.wait(REQUEST_TIMEOUT * 10)
 
     def _serve_data_query(self, session: PeerSession, frame: Frame) -> None:
         body = frame.body
@@ -1154,8 +1148,7 @@ class Node:
 
     def submit_run(self, controller: str, workflow_text: str, *,
                    overrides: Mapping[str, str] | None = None,
-                   watch: Callable[[dict], None] | None = None,
-                   timeout: float = REQUEST_TIMEOUT) -> str:
+                   watch: Callable[[dict], None] | None = None) -> str:
         """Hand a workflow to a remote controller; returns its run_id.
 
         With ``watch`` set, blocks streaming events into the callback until
@@ -1174,17 +1167,10 @@ class Node:
                 "overrides": dict(overrides or {}),
                 "watch": watch is not None,
             }))
-            deadline = time.monotonic() + timeout
             run_id = None
             done = False
             while True:
-                frame = _await(queue, deadline)
-                if frame is None:
-                    raise NetworkError("TRANSPORT", "controller went away")
-                if frame.type == wire.ERROR:
-                    error = frame.body or {}
-                    raise NetworkError(str(error.get("code", "TRANSPORT")),
-                                       str(error.get("message", "routing failed")))
+                frame = _reply(queue)
                 if frame.type != wire.RUN_EVENT:
                     continue
                 body = frame.body or {}
@@ -1198,7 +1184,6 @@ class Node:
                     run_id = str(body.get("run_id"))
                     if watch is None or done:
                         return run_id
-                    deadline = time.monotonic() + timeout * 10
                 elif kind == "event" and watch is not None:
                     watch(body.get("event_doc", {}))
                 elif kind == "done":
@@ -1210,21 +1195,18 @@ class Node:
         finally:
             session.drop_queue(request_id)
 
-    def query_runs(self, controller: str, *, timeout: float = 30.0) -> list[dict]:
-        reply = self._data_query(controller, {"query": "runs"}, timeout)
-        return reply.get("runs", [])
+    def query_runs(self, controller: str) -> list[dict]:
+        return self._data_query(controller, {"query": "runs"}).get("runs", [])
 
-    def query_run_records(self, controller: str, run_id: str, *,
-                          timeout: float = 30.0) -> dict:
-        return self._data_query(controller, {"query": "run", "run_id": run_id},
-                                timeout)
+    def query_run_records(self, controller: str, run_id: str) -> dict:
+        return self._data_query(controller, {"query": "run", "run_id": run_id})
 
-    def _data_query(self, controller: str, query: dict, timeout: float) -> dict:
+    def _data_query(self, controller: str, query: dict) -> dict:
         session = self.session_for(controller)
         if session is None:
             raise NetworkError("UNREACHABLE", f"no session to {controller[:12]}")
-        frame = session.request(wire.DATA_QUERY, query, timeout)
-        if frame is None or frame.type != wire.DATA_RESULT:
+        frame = session.request(wire.DATA_QUERY, query)
+        if frame.type != wire.DATA_RESULT:
             raise NetworkError("TRANSPORT", "no data result")
         reply = frame.body or {}
         error = reply.get("error")

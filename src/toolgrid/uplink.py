@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 from . import wire
 from .config import PROTOCOL_VERSION, UplinkSettings, parse_address
 from .errors import ConfigError, NetworkError, ToolgridError
-from .node import Channel
+from .node import HANDSHAKE_TIMEOUT, Channel, keepalive
 from .wire import Frame, FrameReader, encode_frame, type_name
 
 log = logging.getLogger("toolgrid.uplink")
@@ -105,7 +105,6 @@ class RelayServer:
         # request_id -> (requesting session, serving session)
         self._routes: dict[str, tuple[_RelaySession, _RelaySession]] = {}
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._stopping = False
         self.listen_port: Optional[int] = None
         self.log_lines: deque[str] = deque(maxlen=LOG_LINES_KEPT)
@@ -124,9 +123,8 @@ class RelayServer:
             raise NetworkError("BIND_FAILED",
                                f"cannot listen on {host}:{port}: {exc}") from exc
         self.listen_port = self._listener.getsockname()[1]
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True, name="relay-accept")
-        self._accept_thread.start()
+        threading.Thread(target=self._accept_loop, daemon=True,
+                         name="relay-accept").start()
         self._log(f"relay listening on {host}:{self.listen_port}")
         return self.listen_port
 
@@ -148,7 +146,7 @@ class RelayServer:
                 sock, _ = self._listener.accept()
             except OSError:
                 return
-            threading.Thread(target=self._session_loop, args=(sock,),
+            threading.Thread(target=self._session_loop, args=(keepalive(sock),),
                              daemon=True, name="relay-session").start()
 
     # -- per-session handling ----------------------------------------------------
@@ -163,7 +161,7 @@ class RelayServer:
             return
         session = _RelaySession(sock)
         try:
-            sock.settimeout(10.0)
+            sock.settimeout(HANDSHAKE_TIMEOUT)
             reader = FrameReader(sock.recv)
             if not self._handshake(session, reader):
                 return
@@ -222,15 +220,25 @@ class RelayServer:
         return True
 
     def _detach(self, session: _RelaySession) -> None:
+        """Forget a closed session and tell the other end of each of its routes."""
         session.close()
         if not session.client_id:
             return
         with self._lock:
             if self._sessions.get(session.client_id) is session:
                 del self._sessions[session.client_id]
-            self._routes = {rid: pair for rid, pair in self._routes.items()
-                            if session not in pair}
+            broken = {rid: pair for rid, pair in self._routes.items()
+                      if session in pair}
+            for request_id in broken:
+                del self._routes[request_id]
         self._log(f"session {session.client_id} closed")
+        for request_id, (caller, target) in broken.items():
+            survivor = target if session is caller else caller
+            self._log(f"ERROR req={request_id[:8]} -> {survivor.client_id}: "
+                      "ROUTE_UNAVAILABLE")
+            survivor.send(Frame(wire.ERROR, {
+                "code": "ROUTE_UNAVAILABLE", "request_id": request_id,
+                "message": f"{session.client_id} disconnected"}))
 
     # -- forwarding --------------------------------------------------------------
 
@@ -329,7 +337,6 @@ class UplinkLink(Channel):
         self._address = parse_address(settings.relay, "uplink.relay")
         self._connected = threading.Event()
         self._stopping = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self.client_id = settings.client_id
         self.last_error: Optional[str] = None
 
@@ -344,9 +351,8 @@ class UplinkLink(Channel):
             if exc.code in ("AUTH_FAILED", "DUPLICATE_CLIENT", "VERSION_MISMATCH"):
                 raise
             self.last_error = str(exc)
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name=f"uplink-{self.client_id}")
-        self._thread.start()
+        threading.Thread(target=self._run, daemon=True,
+                         name=f"uplink-{self.client_id}").start()
         if not self._connected.is_set():
             self._connected.wait(wait)
 
@@ -361,10 +367,10 @@ class UplinkLink(Channel):
 
     def _connect_once(self) -> None:
         try:
-            sock = socket.create_connection(self._address, timeout=5.0)
+            sock = keepalive(socket.create_connection(self._address,
+                                                      timeout=HANDSHAKE_TIMEOUT))
         except OSError as exc:
             raise NetworkError("CONNECT_FAILED", f"relay unreachable: {exc}") from exc
-        sock.settimeout(10.0)
         reader = FrameReader(sock.recv)
         hello = Frame(wire.HELLO, {
             "protocol_version": PROTOCOL_VERSION,

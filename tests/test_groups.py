@@ -47,6 +47,13 @@ def test_derivation_matches_reference_recipe():
     assert km.enc_key != km.mac_key
 
 
+def test_key_material_is_derived_once_per_key():
+    key = GroupKey("team", bytes(range(32)))
+    assert key.material == derive_group_key_material(key.secret)
+    assert key.material is key.material
+    assert key.key_id == key.material.key_id
+
+
 def test_secret_length_enforced():
     for bad in (b"", b"short", b"\x00" * 31, b"\x00" * 33):
         with pytest.raises(CryptoError) as err:

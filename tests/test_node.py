@@ -1,6 +1,7 @@
 import json
 import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -356,6 +357,28 @@ def test_submit_run_and_watch(lan_pair, tmp_path):
     reply = b.query_run_records(a.node_id, run_id)
     assert reply["meta"]["state"] == "COMPLETED"
     assert [r["instance_id"] for r in reply["records"]] == ["src", "sink"]
+
+
+def test_watched_submits_hold_no_controller_worker(lan_pair):
+    # more watchers than the controller has pool workers; each run still
+    # needs a worker for its tool firing
+    a, b = lan_pair
+    text = workflow("watched", [instance("step", "script@1", {"command": "true"})],
+                    [])
+    run_ids = []
+
+    def submit():
+        run_ids.append(b.submit_run(a.node_id, text, watch=lambda event: None))
+
+    threads = [threading.Thread(target=submit, daemon=True) for _ in range(32)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 30
+    for thread in threads:
+        thread.join(max(deadline - time.monotonic(), 0))
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(set(run_ids)) == 32
+    assert all(a.store.run_state(run_id) == "COMPLETED" for run_id in run_ids)
 
 
 def test_submit_rejects_invalid_workflow(lan_pair):

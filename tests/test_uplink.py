@@ -1,6 +1,7 @@
 import json
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -9,6 +10,8 @@ from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import ConfigError, NetworkError
 from toolgrid.groups import PUBLIC, new_group_key
+from toolgrid.node import KEEPALIVE_IDLE
+from toolgrid.tools import parse_descriptor
 from toolgrid.uplink import ALLOWLIST, LOG_LINES_KEPT, RelayServer, load_token_table
 from toolgrid.values import Datum
 from toolgrid.wire import Frame, FrameReader
@@ -294,6 +297,23 @@ def test_request_routing_follows_the_target_then_the_route(relay):
     assert acme.expect(wire.PONG).body == {"request_id": "alive"}  # no stray chunk
 
 
+@pytest.mark.parametrize("leaver", ["host", "caller"])
+def test_a_broken_route_is_reported_to_the_survivor(relay, leaver):
+    server, _, connect = relay
+    acme = activate(connect, "acme")
+    beta = activate(connect, "beta")
+    acme.send(Frame(wire.EXEC_REQUEST, {"request_id": "req-7", "target": "beta"}))
+    assert beta.expect(wire.EXEC_REQUEST).body["request_id"] == "req-7"
+
+    gone, survivor = (beta, acme) if leaver == "host" else (acme, beta)
+    gone.close()
+    error = survivor.expect(wire.ERROR)
+    assert error.body["code"] == "ROUTE_UNAVAILABLE"
+    assert error.body["request_id"] == "req-7"
+    assert any("ROUTE_UNAVAILABLE" in line and "req-7" in line
+               for line in server.log_lines)
+
+
 def test_unroutable_target_errors_without_closing(relay):
     _, _, connect = relay
     acme = activate(connect, "acme")
@@ -374,6 +394,49 @@ def test_group_material_never_reaches_the_relay(make_relay, make_node, tmp_path)
     assert key.secret.hex() not in transcript
     assert key.key_id not in transcript
     assert "identity" not in transcript
+
+
+def test_host_leaving_mid_exec_fails_the_call_at_once(make_relay, make_node,
+                                                      tmp_path):
+    server, port = make_relay(TOKENS)
+    a = uplinked(make_node, port, "acme", "leaving-host")
+    b = uplinked(make_node, port, "beta", "stranded-caller")
+    a.install_descriptor(parse_descriptor(json.dumps({
+        "name": "slow", "version": "1", "commands": {"linux": "sleep 3"}})))
+    a.publish("slow@1")
+    assert wait_until(lambda: b.remote_components())
+    stopped = []
+
+    def leave():
+        # once the host has the request, its uplink goes away mid-run
+        wait_until(lambda: any("EXEC_REQUEST" in line for line in server.log_lines))
+        stopped.append(time.monotonic())
+        a.uplink.stop()
+
+    threading.Thread(target=leave, daemon=True).start()
+    with pytest.raises(NetworkError) as err:
+        b.remote_execute(a.node_id, "acme::slow@1", PUBLIC, {})
+    assert err.value.code == "ROUTE_UNAVAILABLE"
+    assert time.monotonic() - stopped[0] < 2.0
+
+
+def test_every_tcp_socket_probes_for_a_vanished_peer(make_relay, make_node):
+    server, port = make_relay(TOKENS)
+    a = uplinked(make_node, port, "acme", "probed-a")
+    b = make_node("probed-b")
+    b.connect(("127.0.0.1", a.listen("127.0.0.1", 0)))
+    assert wait_until(lambda: a.session_for(b.node_id) is not None)
+    sockets = {
+        "connect": b.session_for(a.node_id)._sock,
+        "accept": a.session_for(b.node_id)._sock,
+        "uplink": a.uplink._sock,
+        "relay": server._sessions["acme"].sock,
+    }
+    for name, sock in sockets.items():
+        assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE) == 1, name
+        if hasattr(socket, "TCP_KEEPIDLE"):
+            assert sock.getsockopt(socket.IPPROTO_TCP,
+                                   socket.TCP_KEEPIDLE) == KEEPALIVE_IDLE, name
 
 
 def test_relay_route_unavailable_surfaces_as_network_error(make_relay, make_node):
