@@ -77,6 +77,93 @@ def keepalive(sock: socket.socket) -> socket.socket:
     return sock
 
 
+def dial(address: tuple[str, int]) -> socket.socket:
+    """Connect within HANDSHAKE_TIMEOUT; the caller clears the timeout."""
+    try:
+        sock = socket.create_connection(address, timeout=HANDSHAKE_TIMEOUT)
+    except OSError as exc:
+        raise NetworkError("CONNECT_FAILED",
+                           f"cannot reach {address[0]}:{address[1]}: {exc}") from exc
+    return keepalive(sock)
+
+
+def serve_tcp(host: str, port: int, on_accept: Callable[[socket.socket], None],
+              name: str) -> socket.socket:
+    """Listen on (host, port); run ``on_accept`` on its own thread per connection.
+
+    Returns the listener; ``close_listener`` ends the accept thread.
+    """
+    try:
+        listener = socket.create_server((host, port))
+    except OSError as exc:
+        raise NetworkError("BIND_FAILED",
+                           f"cannot listen on {host}:{port}: {exc}") from exc
+
+    def accept_loop() -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=on_accept, args=(keepalive(sock),),
+                             daemon=True, name=f"{name}-conn").start()
+
+    threading.Thread(target=accept_loop, daemon=True, name=name).start()
+    return listener
+
+
+def close_listener(listener: socket.socket) -> None:
+    """Stop listening at once: shutdown wakes accept(), close alone does not."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    listener.close()
+
+
+class FramedSocket:
+    """One framed connection: a locked send path, one reader loop, one close."""
+
+    def __init__(self, sock: Optional[socket.socket] = None):
+        self._sock = sock
+        self._wlock = threading.Lock()
+
+    def send(self, frame: Frame) -> bool:
+        """Write one frame; a failed send closes the connection."""
+        sock = self._sock
+        if sock is None:
+            return False
+        try:
+            data = encode_frame(frame)
+            with self._wlock:
+                sock.sendall(data)
+            return True
+        except (OSError, ToolgridError):
+            self.close()
+            return False
+
+    def pump(self, reader: FrameReader, on_frame: Callable[[Frame], None]) -> None:
+        """Hand every frame to ``on_frame`` until the connection ends, then close."""
+        try:
+            while (frame := reader.next_frame()) is not None:
+                on_frame(frame)
+        except (ToolgridError, OSError):
+            pass
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Shut the socket down and close it; closing twice is harmless."""
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
+
+
 def canonical_digest(body: Mapping) -> bytes:
     """SHA-256 over the canonical JSON encoding of a frame body.
 
@@ -125,6 +212,7 @@ class _RegistryEntry:
     sequence: int
     payload: Optional[dict]  # None is a retraction tombstone
     origin: Optional[str]
+    channel: Optional["Channel"]  # the connection it arrived on
 
 
 class Registry:
@@ -135,7 +223,8 @@ class Registry:
         self._lock = threading.Lock()
 
     def apply(self, body: Mapping, *, tombstone: bool,
-              origin: Optional[str] = None) -> bool:
+              origin: Optional[str] = None,
+              channel: Optional["Channel"] = None) -> bool:
         try:
             key = (str(body["publisher"]), str(body["group"]), str(body["slot"]))
             sequence = int(body["sequence"])
@@ -148,13 +237,14 @@ class Registry:
             current = self._entries.get(key)
             if current is not None and current.sequence >= sequence:
                 return False
-            self._entries[key] = _RegistryEntry(sequence, payload, origin)
+            self._entries[key] = _RegistryEntry(sequence, payload, origin, channel)
             return True
 
-    def drop_origin(self, origin: str) -> None:
+    def forget(self, channel: "Channel") -> None:
+        """Drop every entry that arrived on ``channel``."""
         with self._lock:
             self._entries = {k: e for k, e in self._entries.items()
-                             if e.origin != origin}
+                             if e.channel is not channel}
 
     def listing(self, keys: Mapping[str, GroupKey]) -> list[RemoteComponent]:
         """Decode every entry a holder of ``keys`` is allowed to read."""
@@ -197,7 +287,7 @@ class Registry:
 # -- channels -----------------------------------------------------------------------
 
 
-class Channel:
+class Channel(FramedSocket):
     """Request plumbing shared by LAN sessions and the relay uplink.
 
     Request-scoped frames (anything carrying a request_id) get routed to a
@@ -211,24 +301,13 @@ class Channel:
     SERVES: frozenset = frozenset()  # inbound request types handed to workers
 
     def __init__(self, node: "Node", sock: Optional[socket.socket] = None):
+        super().__init__(sock)
         self._node = node
-        self._sock = sock
-        self._wlock = threading.Lock()
         self._plock = threading.Lock()
         self._pending: dict[str, SimpleQueue] = {}
 
-    def send(self, frame: Frame) -> bool:
-        sock = self._sock
-        if sock is None:
-            return False
-        try:
-            data = encode_frame(frame)
-            with self._wlock:
-                sock.sendall(data)
-            return True
-        except (OSError, ToolgridError):
-            self.close()
-            return False
+    def on_frame(self, frame: Frame) -> None:
+        self._node._on_frame(self, frame)
 
     def request_queue(self, request_id: str) -> SimpleQueue:
         with self._plock:
@@ -270,17 +349,8 @@ class Channel:
     def close(self) -> None:
         """Shut the socket and wake every pending request with None."""
         with self._plock:
-            sock, self._sock = self._sock, None
+            super().close()
             queues = list(self._pending.values())
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
         for queue in queues:
             queue.put(None)
 
@@ -309,7 +379,7 @@ class PeerSession(Channel):
         self._reader = FrameReader(sock.recv)
         try:
             frame = self._reader.next_frame()
-        except ToolgridError as exc:
+        except (ToolgridError, OSError) as exc:
             self.close()
             raise NetworkError("BAD_HANDSHAKE", f"handshake failed: {exc}") from exc
         if frame is None or frame.type != wire.HELLO or not frame.body:
@@ -334,20 +404,8 @@ class PeerSession(Channel):
         sock.settimeout(None)
 
     def start_reader(self) -> None:
-        threading.Thread(target=self._reader_loop, daemon=True,
-                         name=f"peer-{self.peer_node_id[:8]}").start()
-
-    def _reader_loop(self) -> None:
-        try:
-            while self._sock is not None:
-                frame = self._reader.next_frame()
-                if frame is None:
-                    break
-                self._node._on_frame(self, frame)
-        except (ToolgridError, OSError):
-            pass
-        finally:
-            self.close()
+        threading.Thread(target=self.pump, args=(self._reader, self.on_frame),
+                         daemon=True, name=f"peer-{self.peer_node_id[:8]}").start()
 
     def admit(self, body: Mapping, *, tombstone: bool) -> None:
         # a LAN peer speaks only for itself
@@ -355,7 +413,7 @@ class PeerSession(Channel):
             log.warning("peer %s announced under a foreign id, dropping",
                         self.peer_node_id[:8])
             return
-        self._node.registry.apply(body, tombstone=tombstone)
+        self._node.registry.apply(body, tombstone=tombstone, channel=self)
 
     def close(self) -> None:
         super().close()
@@ -452,7 +510,6 @@ class Node:
         self._listener: Optional[socket.socket] = None
         self.listen_port: Optional[int] = None
         self.uplink = None  # set by start() or by the test harness
-        self._stopping = False
 
         self.reload_tools()
         for publication in config.published:
@@ -613,24 +670,10 @@ class Node:
             self.uplink.start()
 
     def listen(self, host: str, port: int) -> int:
-        try:
-            listener = socket.create_server((host, port))
-        except OSError as exc:
-            raise NetworkError("BIND_FAILED",
-                               f"cannot listen on {host}:{port}: {exc}") from exc
-        self._listener = listener
-        self.listen_port = listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name=f"accept-{self.node_id[:6]}").start()
+        self._listener = serve_tcp(host, port, self._adopt,
+                                   f"accept-{self.node_id[:6]}")
+        self.listen_port = self._listener.getsockname()[1]
         return self.listen_port
-
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            self._pool.submit(self._adopt, keepalive(sock))
 
     def _adopt(self, sock: socket.socket) -> None:
         try:
@@ -639,12 +682,7 @@ class Node:
             log.warning("inbound connection rejected: %s", exc)
 
     def connect(self, address: tuple[str, int]) -> PeerSession:
-        try:
-            sock = socket.create_connection(address, timeout=HANDSHAKE_TIMEOUT)
-        except OSError as exc:
-            raise NetworkError("CONNECT_FAILED",
-                               f"cannot reach {address[0]}:{address[1]}: {exc}") from exc
-        return self.attach(keepalive(sock))
+        return self.attach(dial(address))
 
     def attach(self, sock: socket.socket) -> PeerSession:
         """Adopt a connected socket: handshake, register, exchange listings."""
@@ -668,6 +706,8 @@ class Node:
                 self._sessions.remove(session)
             if self._by_peer.get(session.peer_node_id) is session:
                 del self._by_peer[session.peer_node_id]
+        # a departed peer can no longer serve what it offered
+        self.registry.forget(session)
 
     def ping(self, node_id: str, timeout: float = 5.0) -> bool:
         session = self.session_for(node_id)
@@ -680,12 +720,8 @@ class Node:
         return frame.type == wire.PONG
 
     def stop(self) -> None:
-        self._stopping = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_listener(self._listener)
         if self.uplink is not None:
             self.uplink.stop()
         with self._lock:

@@ -219,9 +219,11 @@ class RunStore:
             raise DataError("NOT_FOUND", f"no run {run_id!r}")
         return path.read_text()
 
-    def _append_line(self, run_id: str, doc: dict) -> None:
+    def _check_open(self, run_id: str) -> None:
         if self.run_state(run_id) in TERMINAL_STATES:
             raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
+
+    def _append_line(self, run_id: str, doc: dict) -> None:
         line = json.dumps(doc, sort_keys=True)
         with open(self._run_dir(run_id) / "records.log", "a") as fh:
             fh.write(line + "\n")
@@ -234,6 +236,7 @@ class RunStore:
 
     def record_execution(self, run_id: str, record: ExecutionRecord) -> None:
         with self._lock:
+            self._check_open(run_id)
             key = (record.instance_id, record.execution_index)
             if key in self._keys(run_id):
                 raise DataError("DUPLICATE_KEY",
@@ -249,6 +252,7 @@ class RunStore:
         doc = {"kind": "event", "at": at, "event": event}
         doc.update(fields)
         with self._lock:
+            self._check_open(run_id)
             self._append_line(run_id, doc)
 
     def _read_lines(self, run_id: str) -> list[dict]:
@@ -284,12 +288,15 @@ class RunStore:
     def close_run(self, run_id: str, state: str, *, closed_at: int = 0) -> None:
         if state not in TERMINAL_STATES:
             raise DataError("BAD_STATE", f"{state!r} is not a terminal state")
-        meta = self._read_meta(run_id)
-        if meta["state"] in TERMINAL_STATES:
-            raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
-        meta["state"] = state
-        meta["closed_at"] = closed_at
-        self._write_meta(run_id, meta)
+        with self._lock:
+            meta = self._read_meta(run_id)
+            if meta["state"] in TERMINAL_STATES:
+                raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
+            meta["state"] = state
+            meta["closed_at"] = closed_at
+            self._write_meta(run_id, meta)
+            # nothing more is appended, so duplicate checks are over
+            self._seen_keys.pop(run_id, None)
 
     def list_runs(self) -> list[dict]:
         runs_dir = self.root / "runs"

@@ -16,6 +16,7 @@ organization boundaries by construction.
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import threading
@@ -26,7 +27,8 @@ from typing import Mapping, Optional
 from . import wire
 from .config import PROTOCOL_VERSION, UplinkSettings, parse_address
 from .errors import ConfigError, NetworkError, ToolgridError
-from .node import HANDSHAKE_TIMEOUT, Channel, keepalive
+from .node import (HANDSHAKE_TIMEOUT, Channel, FramedSocket, close_listener,
+                   dial, serve_tcp)
 from .wire import Frame, FrameReader, encode_frame, type_name
 
 log = logging.getLogger("toolgrid.uplink")
@@ -38,10 +40,6 @@ ALLOWLIST = frozenset({
     wire.BLOB_CHUNK, wire.LOG_CHUNK, wire.EXEC_RESULT,
     wire.PING, wire.PONG,
 })
-
-HANDSHAKE = "HANDSHAKE"
-ACTIVE = "ACTIVE"
-CLOSED = "CLOSED"
 
 BACKOFF_START = 0.1
 BACKOFF_CAP = 2.0
@@ -67,32 +65,8 @@ def load_token_table(path: Path) -> dict[str, str]:
     return table
 
 
-class _RelaySession:
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.client_id = ""
-        self.state = HANDSHAKE
-        self._wlock = threading.Lock()
-
-    def send(self, frame: Frame) -> bool:
-        try:
-            data = encode_frame(frame)
-            with self._wlock:
-                self.sock.sendall(data)
-            return True
-        except (OSError, ToolgridError):
-            return False
-
-    def close(self) -> None:
-        self.state = CLOSED
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+class _RelaySession(FramedSocket):
+    client_id = ""  # set once the handshake succeeds
 
 
 class RelayServer:
@@ -117,60 +91,30 @@ class RelayServer:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self, host: str, port: int) -> int:
-        try:
-            self._listener = socket.create_server((host, port))
-        except OSError as exc:
-            raise NetworkError("BIND_FAILED",
-                               f"cannot listen on {host}:{port}: {exc}") from exc
+        self._listener = serve_tcp(host, port, self._session_loop, "relay-accept")
         self.listen_port = self._listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name="relay-accept").start()
         self._log(f"relay listening on {host}:{self.listen_port}")
         return self.listen_port
 
     def stop(self) -> None:
         self._stopping = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            close_listener(self._listener)
         with self._lock:
             sessions = list(self._sessions.values())
         for session in sessions:
             session.close()
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._session_loop, args=(keepalive(sock),),
-                             daemon=True, name="relay-session").start()
-
     # -- per-session handling ----------------------------------------------------
 
     def _session_loop(self, sock: socket.socket) -> None:
-        if self._stopping:
-            # accepted out of the backlog while shutting down
-            try:
-                sock.close()
-            except OSError:
-                pass
-            return
         session = _RelaySession(sock)
         try:
             sock.settimeout(HANDSHAKE_TIMEOUT)
             reader = FrameReader(sock.recv)
-            if not self._handshake(session, reader):
-                return
-            sock.settimeout(None)
-            while session.state == ACTIVE:
-                frame = reader.next_frame()
-                if frame is None:
-                    break
-                self._forward(session, frame)
+            if self._handshake(session, reader):
+                sock.settimeout(None)
+                session.pump(reader, functools.partial(self._forward, session))
         except (ToolgridError, OSError):
             pass
         finally:
@@ -205,7 +149,6 @@ class RelayServer:
             else:
                 duplicate = False
                 session.client_id = client_id
-                session.state = ACTIVE
                 self._sessions[client_id] = session
         if duplicate:
             session.send(Frame(wire.ERROR, {
@@ -366,11 +309,7 @@ class UplinkLink(Channel):
     # -- connection management ------------------------------------------------------
 
     def _connect_once(self) -> None:
-        try:
-            sock = keepalive(socket.create_connection(self._address,
-                                                      timeout=HANDSHAKE_TIMEOUT))
-        except OSError as exc:
-            raise NetworkError("CONNECT_FAILED", f"relay unreachable: {exc}") from exc
+        sock = dial(self._address)
         reader = FrameReader(sock.recv)
         hello = Frame(wire.HELLO, {
             "protocol_version": PROTOCOL_VERSION,
@@ -411,32 +350,27 @@ class UplinkLink(Channel):
     def _run(self) -> None:
         backoff = BACKOFF_START
         while not self._stopping.is_set():
-            if not self._connected.is_set():
-                try:
-                    self._connect_once()
-                    backoff = BACKOFF_START
-                except NetworkError as exc:
-                    self.last_error = str(exc)
-                    # a stale DUPLICATE_CLIENT clears once the relay notices
-                    # the dead socket, so only credential errors are fatal
-                    if exc.code in ("AUTH_FAILED", "VERSION_MISMATCH"):
-                        log.error("uplink %s: %s, giving up", self.client_id, exc)
-                        return
-                    self._stopping.wait(backoff)
-                    backoff = min(backoff * 2, BACKOFF_CAP)
-                    continue
+            if self._connected.is_set():
+                self.pump(self._reader, self.on_frame)
+                continue
             try:
-                while not self._stopping.is_set():
-                    frame = self._reader.next_frame()
-                    if frame is None:
-                        break
-                    self._node._on_frame(self, frame)
-            except (ToolgridError, OSError):
-                pass
-            self.close()
+                self._connect_once()
+                backoff = BACKOFF_START
+            except NetworkError as exc:
+                self.last_error = str(exc)
+                # a stale DUPLICATE_CLIENT clears once the relay notices
+                # the dead socket, so only credential errors are fatal
+                if exc.code in ("AUTH_FAILED", "VERSION_MISMATCH"):
+                    log.error("uplink %s: %s, giving up", self.client_id, exc)
+                    return
+                self._stopping.wait(backoff)
+                backoff = min(backoff * 2, BACKOFF_CAP)
+        # a dial that raced stop() may have connected after stop() closed
+        self.close()
 
     def admit(self, body: Mapping, *, tombstone: bool) -> None:
         # the relay stamps the sender's client id; our own echo is ignored
         origin = body.get("origin")
         if isinstance(origin, str) and origin and origin != self.client_id:
-            self._node.registry.apply(body, tombstone=tombstone, origin=origin)
+            self._node.registry.apply(body, tombstone=tombstone, origin=origin,
+                                      channel=self)

@@ -1,6 +1,7 @@
 """LAN sessions and the relay uplink share one Channel behaviour."""
 
 import socket
+import struct
 import sys
 import threading
 import time
@@ -9,13 +10,15 @@ import pytest
 
 from toolgrid import node as node_module
 from toolgrid import wire
-from toolgrid.config import UplinkSettings
+from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
+from toolgrid.errors import NetworkError
 from toolgrid.groups import PUBLIC
 from toolgrid.node import PeerSession
 from toolgrid.uplink import UplinkLink
-from toolgrid.wire import Frame
+from toolgrid.wire import MAX_FRAME, Frame, FrameReader
 
 from test_node import identity_descriptor
+from test_uplink import TOKENS, RawClient
 
 
 @pytest.fixture
@@ -99,3 +102,46 @@ def test_controller_requests_are_served_on_the_lan_only(kind, served, make_node,
                        wire.DOC_REQUEST):
         host._on_frame(channel, Frame(frame_type, {"request_id": f"r{frame_type}"}))
     assert submitted == served
+
+
+@pytest.mark.parametrize("kind", ["lan", "relay"])
+def test_an_oversized_frame_ends_the_link_for_the_other_end(kind, make_node,
+                                                           make_relay):
+    """A peer announces a frame above MAX_FRAME in the middle of a request."""
+    if kind == "lan":
+        ours, theirs = socket.socketpair()
+        theirs.sendall(wire.encode_frame(Frame(wire.HELLO, {
+            "protocol_version": PROTOCOL_VERSION, "node_id": "f" * 32})))
+        session = make_node("host").attach(ours)
+        failures = []
+
+        def ask():
+            try:
+                session.request(wire.DOC_REQUEST, {"component": "x@1",
+                                                   "group": PUBLIC})
+            except NetworkError as exc:
+                failures.append(exc.code)
+
+        waiter = threading.Thread(target=ask, daemon=True)
+        waiter.start()
+        reader = FrameReader(theirs.recv)
+        while reader.next_frame().type != wire.DOC_REQUEST:
+            pass  # past the node's HELLO
+        theirs.sendall(struct.pack(">I", MAX_FRAME + 1))
+        waiter.join(2)
+        theirs.close()
+        assert failures == ["TRANSPORT"]
+    else:
+        _, port = make_relay(TOKENS)
+        caller, host = RawClient(port, "acme"), RawClient(port, "beta")
+        caller.expect(wire.HELLO)
+        host.expect(wire.HELLO)
+        caller.send(Frame(wire.EXEC_REQUEST, {"request_id": "req-1",
+                                              "target": "beta"}))
+        host.expect(wire.EXEC_REQUEST)
+        host.send_raw(struct.pack(">I", MAX_FRAME + 1))
+        error = caller.expect(wire.ERROR)
+        caller.close()
+        host.close()
+        assert error.body["code"] == "ROUTE_UNAVAILABLE"
+        assert error.body["request_id"] == "req-1"

@@ -14,6 +14,7 @@ from toolgrid.node import Registry, canonical_digest, link_nodes
 from toolgrid.tools import parse_descriptor
 from toolgrid.values import Datum, DatumType
 from toolgrid.wire import Frame, FrameReader
+from toolgrid.workflow import ComponentRef
 
 from helpers import PRELUDE, edge, instance, logged, script_config, workflow
 
@@ -301,10 +302,31 @@ def test_list_triggers_reannouncement(lan_pair, tmp_path):
     a.publish("identity@1")
     assert wait_until(lambda: b.remote_components())
     # wipe b's registry, then ask the network to repeat itself
-    b.registry.drop_origin(None)
+    b.registry.forget(b.session_for(a.node_id))
     assert b.remote_components() == []
     b.session_for(a.node_id).send(Frame(wire.LIST, {}))
     assert wait_until(lambda: b.remote_components())
+
+
+def test_a_departed_peers_offers_leave_with_its_session(make_node, tmp_path):
+    controller = make_node("placer")
+    publishers = [make_node("pub-1"), make_node("pub-2")]
+    for publisher in publishers:
+        link_nodes(controller, publisher)
+        publisher.install_descriptor(parse_descriptor(json.dumps({
+            "name": "noop", "version": "1", "commands": {"linux": "true"}})))
+        publisher.publish("noop@1")
+    ref = ComponentRef.parse("noop@1")
+    assert wait_until(lambda: len(controller.providers().get(ref, ())) == 2)
+
+    # auto-placement picks the smallest node id, so stop that one
+    gone, survivor = sorted(publishers, key=lambda node: node.node_id)
+    gone.stop()
+    assert wait_until(lambda: controller.providers()[ref] == {survivor.node_id})
+    engine = controller.start_run(workflow("left", [instance("step", "noop@1")], []))
+    assert engine.wait(60) == "COMPLETED"
+    [record] = controller.store.query_run(engine.run_id)
+    assert record.node == survivor.node_id
 
 
 def test_distributed_run_places_work_on_the_publisher(lan_pair, tmp_path):

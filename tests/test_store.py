@@ -186,6 +186,23 @@ def test_close_run_transitions(store):
         store.append_event("r1", 30, "late")
 
 
+def test_closing_a_run_frees_its_key_set(tmp_path, monkeypatch):
+    store = RunStore(tmp_path)
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.record_execution("r1", record(seq=0))
+    store.close_run("r1", "COMPLETED")
+    assert "r1" not in store._seen_keys
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("a closed run's keys were rebuilt")
+
+    monkeypatch.setattr(store, "query_run", rescan)
+    with pytest.raises(DataError) as err:
+        store.record_execution("r1", record(seq=1, inst="late"))
+    assert err.value.code == "RUN_CLOSED"
+    assert "r1" not in store._seen_keys
+
+
 def test_list_runs(store):
     assert store.list_runs() == []
     store.open_run("r1", WORKFLOW_TEXT, created_at=1)

@@ -430,13 +430,32 @@ def test_every_tcp_socket_probes_for_a_vanished_peer(make_relay, make_node):
         "connect": b.session_for(a.node_id)._sock,
         "accept": a.session_for(b.node_id)._sock,
         "uplink": a.uplink._sock,
-        "relay": server._sessions["acme"].sock,
+        "relay": server._sessions["acme"]._sock,
     }
     for name, sock in sockets.items():
         assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE) == 1, name
         if hasattr(socket, "TCP_KEEPIDLE"):
             assert sock.getsockopt(socket.IPPROTO_TCP,
                                    socket.TCP_KEEPIDLE) == KEEPALIVE_IDLE, name
+
+
+def test_stop_frees_the_port(make_relay, make_node):
+    before = set(threading.enumerate())
+    server, relay_port = make_relay(TOKENS)
+    node = make_node("stopper")
+    node_port = node.listen("127.0.0.1", 0)
+    accepting = [thread for thread in set(threading.enumerate()) - before
+                 if "accept" in thread.name]
+    assert len(accepting) == 2
+    node.stop()
+    server.stop()
+    for port in (node_port, relay_port):
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+    assert wait_until(lambda: not any(thread.is_alive() for thread in accepting))
+    replacement = RelayServer(TOKENS)
+    assert replacement.start("127.0.0.1", relay_port) == relay_port
+    replacement.stop()
 
 
 def test_relay_route_unavailable_surfaces_as_network_error(make_relay, make_node):
