@@ -432,7 +432,6 @@ def group() -> None:
 def group_create(ctx: click.Context, name: str) -> None:
     try:
         config = _load(ctx)
-        config.groups_dir.mkdir(parents=True, exist_ok=True)
         key = new_group_key(name)
         save_group_key(key, config.groups_dir)
     except (ToolgridError, ValueError) as exc:
@@ -472,7 +471,6 @@ def group_import(ctx: click.Context, name: str, secret_hex: str | None) -> None:
         except ValueError:
             raise CryptoError("BAD_KEY_FILE", "secret is not valid hex") from None
         config = _load(ctx)
-        config.groups_dir.mkdir(parents=True, exist_ok=True)
         key = GroupKey(name, secret)
         save_group_key(key, config.groups_dir)
     except (ToolgridError, ValueError) as exc:

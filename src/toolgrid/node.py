@@ -63,11 +63,13 @@ KEEPALIVE_COUNT = 3
 
 
 def keepalive(sock: socket.socket) -> socket.socket:
-    """Let the kernel notice a peer that vanished without closing.
+    """Let the kernel notice a peer that vanished without closing, and send
+    each frame without waiting for the peer's delayed ACK (TCP_NODELAY).
 
     A request has no deadline of its own, so a dead host must end the
     connection; the reader then closes the channel and wakes its waiters.
     """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
     for option, value in (("TCP_KEEPIDLE", KEEPALIVE_IDLE),
                           ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL),
@@ -488,9 +490,8 @@ class Node:
         self.config = config
         self.node_id = node_identity(config.config_dir)
         self.display_name = config.display_name
-        for directory in (config.tools_dir, config.groups_dir,
-                          config.store_dir, config.work_dir):
-            directory.mkdir(parents=True, exist_ok=True)
+        # the store, tools/ and groups/ appear on their first write
+        config.work_dir.mkdir(parents=True, exist_ok=True)
         self.store = RunStore(config.store_dir)
         self.blobs = self.store.blobs
         self.work_dir = config.work_dir
@@ -537,6 +538,7 @@ class Node:
     def install_descriptor(self, descriptor: ToolDescriptor) -> Path:
         from .tools import descriptor_to_json
         path = self.config.tools_dir / f"{descriptor.name}-{descriptor.version}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(descriptor_to_json(descriptor))
         self.reload_tools()
         return path
@@ -729,6 +731,7 @@ class Node:
         for session in sessions:
             session.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
+        self.store.close()
 
     # -- inbound frames ------------------------------------------------------------
 

@@ -22,7 +22,7 @@ import threading
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, TextIO
 
 from .errors import DataError
 from .values import Datum, DatumType, datum_from_json
@@ -41,8 +41,6 @@ class BlobStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        (self.root / "blobs").mkdir(parents=True, exist_ok=True)
-        (self.root / "tmp").mkdir(parents=True, exist_ok=True)
 
     def _path(self, digest: str) -> Path:
         return self.root / "blobs" / digest[:2] / digest
@@ -55,6 +53,7 @@ class BlobStore:
             return digest
         final.parent.mkdir(parents=True, exist_ok=True)
         staged = self.root / "tmp" / uuid.uuid4().hex
+        staged.parent.mkdir(exist_ok=True)
         staged.write_bytes(data)
         os.replace(staged, final)  # atomic; concurrent writers converge
         return digest
@@ -161,9 +160,10 @@ class RunStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        (self.root / "runs").mkdir(parents=True, exist_ok=True)
         self.blobs = BlobStore(root)
         self._seen_keys: dict[str, set[tuple[str, int]]] = {}
+        # records.log handles of the runs this store opened and has not closed
+        self._logs: dict[str, TextIO] = {}
         self._lock = threading.Lock()
 
     def _run_dir(self, run_id: str) -> Path:
@@ -195,7 +195,8 @@ class RunStore:
             raise DataError("DUPLICATE_KEY", f"run {run_id!r} already exists")
         run_dir.mkdir(parents=True)
         (run_dir / "workflow.json").write_text(workflow_text)
-        (run_dir / "records.log").touch()
+        # line-buffered, so other readers see each line once it is written
+        log = open(run_dir / "records.log", "a", buffering=1)
         self._write_meta(run_id, {
             "run_id": run_id,
             "workflow_name": workflow_name,
@@ -205,7 +206,9 @@ class RunStore:
             "closed_at": None,
             "placement": dict(placement or {}),
         })
-        self._seen_keys[run_id] = set()
+        with self._lock:
+            self._seen_keys[run_id] = set()
+            self._logs[run_id] = log
 
     def run_state(self, run_id: str) -> str:
         return self._read_meta(run_id)["state"]
@@ -220,13 +223,16 @@ class RunStore:
         return path.read_text()
 
     def _check_open(self, run_id: str) -> None:
-        if self.run_state(run_id) in TERMINAL_STATES:
+        if run_id not in self._logs and self.run_state(run_id) in TERMINAL_STATES:
             raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
 
     def _append_line(self, run_id: str, doc: dict) -> None:
-        line = json.dumps(doc, sort_keys=True)
+        line = json.dumps(doc, sort_keys=True) + "\n"
+        if run_id in self._logs:
+            self._logs[run_id].write(line)
+            return
         with open(self._run_dir(run_id) / "records.log", "a") as fh:
-            fh.write(line + "\n")
+            fh.write(line)
 
     def _keys(self, run_id: str) -> set[tuple[str, int]]:
         if run_id not in self._seen_keys:
@@ -297,6 +303,14 @@ class RunStore:
             self._write_meta(run_id, meta)
             # nothing more is appended, so duplicate checks are over
             self._seen_keys.pop(run_id, None)
+            if run_id in self._logs:
+                self._logs.pop(run_id).close()
+
+    def close(self) -> None:
+        """Close every held records.log; open runs stay readable and appendable."""
+        with self._lock:
+            while self._logs:
+                self._logs.popitem()[1].close()
 
     def list_runs(self) -> list[dict]:
         runs_dir = self.root / "runs"

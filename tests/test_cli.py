@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from toolgrid.cli import main
 from toolgrid.config import NodeConfig, load_config, save_config
+from toolgrid.node import Node
 from toolgrid.uplink import RelayServer
 
 from helpers import (ADD_BODY, edge, instance, logged, script_config,
@@ -313,6 +314,15 @@ def test_data_runs_show_export(cfg, tmp_path):
     manifest = json.loads(exported.stdout)
     assert manifest["run_id"] == run_id
     assert (dest / "manifest.json").exists()
+
+
+def test_data_runs_on_a_fresh_node_lists_nothing(cfg):
+    Node(NodeConfig(cfg)).stop()
+    assert not (cfg / "store").exists()
+    result = invoke(cfg, "data", "runs", json_out=True)
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {"runs": []}
+    assert sorted(p.name for p in cfg.iterdir()) == ["node_id", "work"]
 
 
 def test_data_show_unknown_run_exits_one(cfg):

@@ -418,3 +418,22 @@ def test_canonical_digest_stable_under_reencoding():
     reencoded = json.loads(json.dumps(body))
     assert canonical_digest(body) == canonical_digest(reencoded)
     assert canonical_digest(body) != canonical_digest({**body, "b": 2})
+
+
+def test_a_fresh_node_writes_only_what_it_uses(make_node, tmp_path):
+    node = make_node("fresh")
+    root = node.config.config_dir
+    assert sorted(p.name for p in root.iterdir()) == ["node_id", "work"]
+    assert node.store.list_runs() == []
+    assert list(node.blobs.digests()) == []
+
+    node.install_descriptor(identity_descriptor(tmp_path))
+    assert (root / "tools" / "identity-1.json").is_file()
+    node.add_group_key(new_group_key("lab"))
+    assert (root / "groups" / "lab.key").is_file()
+    digest = node.blobs.put(b"payload")
+    assert (root / "store" / "blobs" / digest[:2] / digest).is_file()
+    node.store.open_run("r1", '{"name": "demo", "components": [], "connections": []}')
+    assert (root / "store" / "runs" / "r1" / "records.log").is_file()
+    assert sorted(p.name for p in root.iterdir()) == [
+        "groups", "node_id", "store", "tools", "work"]

@@ -88,7 +88,9 @@ def test_failed_record_roundtrip():
 
 @pytest.fixture
 def store(tmp_path):
-    return RunStore(tmp_path / "store")
+    store = RunStore(tmp_path / "store")
+    yield store
+    store.close()
 
 
 def test_open_run_layout(store):
@@ -307,3 +309,78 @@ def test_undecodable_inner_line_is_corrupt(store, tmp_path):
             call()
         assert err.value.code == "CORRUPT"
         assert "line 2" in err.value.message
+
+
+# -- the held append handle ---------------------------------------------------------
+
+
+def test_a_second_store_sees_each_line_as_it_is_appended(tmp_path):
+    writer = RunStore(tmp_path / "store")
+    reader = RunStore(tmp_path / "store")
+    writer.open_run("r1", WORKFLOW_TEXT)
+    writer.append_event("r1", 10, "run-started")
+    assert [e["event"] for e in reader.events("r1")] == ["run-started"]
+    for idx in range(1, 4):
+        writer.record_execution("r1", record(seq=idx, idx=idx))
+        assert len(reader.query_run("r1")) == idx
+        writer.append_event("r1", 10 + idx, f"tick-{idx}")
+        assert len(reader.events("r1")) == idx + 1
+    writer.close_run("r1", "COMPLETED")
+    assert reader.run_state("r1") == "COMPLETED"
+
+
+def test_appends_to_an_open_run_read_no_run_json(store, monkeypatch):
+    store.open_run("r1", WORKFLOW_TEXT)
+
+    def unread(*args, **kwargs):
+        raise AssertionError("an append re-read run.json")
+
+    monkeypatch.setattr(store, "_read_meta", unread)
+    store.append_event("r1", 10, "run-started")
+    store.record_execution("r1", record())
+    store.append_event("r1", 20, "run-finished", state="COMPLETED")
+    monkeypatch.undo()
+    assert [e["event"] for e in store.events("r1")] == ["run-started", "run-finished"]
+    assert len(store.query_run("r1")) == 1
+
+
+def test_close_run_closes_and_drops_the_handle(store):
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.append_event("r1", 10, "run-started")
+    log = store._logs["r1"]
+    store.close_run("r1", "COMPLETED")
+    assert log.closed
+    assert "r1" not in store._logs
+    with pytest.raises(DataError) as err:
+        store.append_event("r1", 30, "late")
+    assert err.value.code == "RUN_CLOSED"
+    with pytest.raises(DataError) as err:
+        store.record_execution("r1", record(seq=1, inst="late"))
+    assert err.value.code == "RUN_CLOSED"
+    assert [e["event"] for e in store.events("r1")] == ["run-started"]
+
+
+def test_closing_the_store_keeps_open_runs_readable(store):
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.append_event("r1", 10, "run-started")
+    log = store._logs["r1"]
+    store.close()
+    assert log.closed and store._logs == {}
+    assert store.run_state("r1") == "RUNNING"
+    assert [e["event"] for e in store.events("r1")] == ["run-started"]
+    # appends still work, reopening the file each time
+    store.record_execution("r1", record())
+    store.close_run("r1", "COMPLETED")
+    assert len(store.query_run("r1")) == 1
+
+
+def test_node_stop_closes_the_handles_of_open_runs(make_node):
+    node = make_node("holder")
+    node.store.open_run("r1", WORKFLOW_TEXT)
+    node.store.append_event("r1", 10, "run-started")
+    log = node.store._logs["r1"]
+    node.stop()
+    assert log.closed
+    reader = RunStore(node.config.store_dir)
+    assert reader.run_state("r1") == "RUNNING"
+    assert [e["event"] for e in reader.events("r1")] == ["run-started"]

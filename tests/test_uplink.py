@@ -439,6 +439,22 @@ def test_every_tcp_socket_probes_for_a_vanished_peer(make_relay, make_node):
                                    socket.TCP_KEEPIDLE) == KEEPALIVE_IDLE, name
 
 
+def test_every_tcp_socket_sends_without_delay(make_relay, make_node):
+    server, port = make_relay(TOKENS)
+    a = uplinked(make_node, port, "acme", "eager-a")
+    b = make_node("eager-b")
+    b.connect(("127.0.0.1", a.listen("127.0.0.1", 0)))
+    assert wait_until(lambda: a.session_for(b.node_id) is not None)
+    sockets = {
+        "connect": b.session_for(a.node_id)._sock,
+        "accept": a.session_for(b.node_id)._sock,
+        "uplink": a.uplink._sock,
+        "relay": server._sessions["acme"]._sock,
+    }
+    for name, sock in sockets.items():
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1, name
+
+
 def test_stop_frees_the_port(make_relay, make_node):
     before = set(threading.enumerate())
     server, relay_port = make_relay(TOKENS)
