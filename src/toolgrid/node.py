@@ -218,10 +218,15 @@ class _RegistryEntry:
 
 
 class Registry:
-    """Everything peers have announced, newest sequence wins per key."""
+    """Everything peers have announced, newest sequence wins per key.
+
+    The decoded listing is kept until an entry changes or the caller's set of
+    key ids does (a key id is a hash of its secret, so the ids name the keys).
+    """
 
     def __init__(self):
         self._entries: dict[tuple[str, str, str], _RegistryEntry] = {}
+        self._listed: Optional[tuple[frozenset, list[RemoteComponent]]] = None
         self._lock = threading.Lock()
 
     def apply(self, body: Mapping, *, tombstone: bool,
@@ -240,6 +245,7 @@ class Registry:
             if current is not None and current.sequence >= sequence:
                 return False
             self._entries[key] = _RegistryEntry(sequence, payload, origin, channel)
+            self._listed = None
             return True
 
     def forget(self, channel: "Channel") -> None:
@@ -247,13 +253,21 @@ class Registry:
         with self._lock:
             self._entries = {k: e for k, e in self._entries.items()
                              if e.channel is not channel}
+            self._listed = None
 
     def listing(self, keys: Mapping[str, GroupKey]) -> list[RemoteComponent]:
         """Decode every entry a holder of ``keys`` is allowed to read."""
+        keys = dict(keys)
+        held = frozenset(keys)
+        # decoding under the lock keeps a concurrent apply from being cached over
         with self._lock:
-            snapshot = dict(self._entries)
+            if self._listed is None or self._listed[0] != held:
+                self._listed = (held, self._decode(keys))
+            return list(self._listed[1])
+
+    def _decode(self, keys: Mapping[str, GroupKey]) -> list[RemoteComponent]:
         out: list[RemoteComponent] = []
-        for (publisher, group, slot), entry in snapshot.items():
+        for (publisher, group, slot), entry in self._entries.items():
             if entry.payload is None:
                 continue
             if group == PUBLIC:
@@ -540,7 +554,8 @@ class Node:
         path = self.config.tools_dir / f"{descriptor.name}-{descriptor.version}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(descriptor_to_json(descriptor))
-        self.reload_tools()
+        with self._lock:
+            self._descriptors[f"{descriptor.name}@{descriptor.version}"] = descriptor
         return path
 
     # -- group keys ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import base64
 import json
 import socket
 import sys
@@ -5,11 +6,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toolgrid import wire
+from toolgrid import node as node_module, wire
 from toolgrid.config import PROTOCOL_VERSION
 from toolgrid.errors import ConfigError, NetworkError
-from toolgrid.groups import PUBLIC, new_group_key
+from toolgrid.groups import PUBLIC, announcement_slot, decrypt_payload_json, \
+    derive_group_key_material, encrypt_payload_json, new_group_key
 from toolgrid.node import Registry, canonical_digest, link_nodes
 from toolgrid.tools import parse_descriptor
 from toolgrid.values import Datum, DatumType
@@ -294,6 +297,172 @@ def test_registry_rejects_transplanted_group_slots():
     registry.apply(forged, tombstone=False)
     listed = [str(r.ref) for r in registry.listing({key.key_id: key})]
     assert listed == ["real@1"]  # the transplant never surfaces
+
+
+_NAMES = ("alpha", "beta", "gamma")
+_MEMBER, _STRANGER = new_group_key("members"), new_group_key("strangers")
+
+
+def _group_payload(key, name):
+    material = derive_group_key_material(key.secret)
+    inner = {"name": name, "version": "1",
+             "inputs": [{"name": "x", "type": "integer"}], "outputs": []}
+    return (announcement_slot(material.mac_key, name),
+            {"ciphertext": base64.b64encode(
+                encrypt_payload_json(inner, material.enc_key)).decode()})
+
+
+# encrypting is slow next to a listing, so each (sealing key, name) is sealed once
+_SEALED = {(key.key_id, name): _group_payload(key, name)
+           for key in (_MEMBER, _STRANGER) for name in _NAMES}
+
+
+def _announcement(publisher, group, name, sequence, sealed_by=_MEMBER):
+    if group == PUBLIC:
+        slot, payload = name, {"name": name, "version": str(sequence),
+                               "inputs": [], "outputs": []}
+    else:
+        slot, payload = _SEALED[(sealed_by.key_id, name)]
+    return {"publisher": publisher, "sequence": sequence, "group": group,
+            "slot": slot, "payload": payload}
+
+
+_HELD = ({}, {_MEMBER.key_id: _MEMBER}, {_STRANGER.key_id: _STRANGER},
+         {_MEMBER.key_id: _MEMBER, _STRANGER.key_id: _STRANGER})
+_registry_steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["announce", "retract"]),
+              st.sampled_from(["p1", "p2"]),
+              st.sampled_from([PUBLIC, _MEMBER.key_id]),
+              st.sampled_from(_NAMES),
+              st.integers(1, 4),
+              st.sampled_from([_MEMBER, _STRANGER]),
+              st.integers(0, 2)),
+    st.tuples(st.just("forget"), st.integers(0, 2)),
+    st.tuples(st.just("list"), st.integers(0, len(_HELD) - 1)),
+), max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_registry_steps)
+def test_registry_listing_matches_a_fresh_decode(steps):
+    # the reference is a fresh registry fed only the entries that survive
+    channels = [object() for _ in range(3)]
+    registry = Registry()
+    surviving: dict = {}  # entry key -> (sequence, body, tombstone, channel)
+    held = _HELD[0]
+    for step in steps:
+        if step[0] == "forget":
+            channel = channels[step[1]]
+            registry.forget(channel)
+            surviving = {k: v for k, v in surviving.items() if v[3] is not channel}
+        elif step[0] == "list":
+            held = _HELD[step[1]]
+        else:
+            kind, publisher, group, name, sequence, sealed_by, where = step
+            body = _announcement(publisher, group, name, sequence, sealed_by)
+            tombstone = kind == "retract"
+            registry.apply(body, tombstone=tombstone, channel=channels[where])
+            key = (publisher, group, body["slot"])
+            if key not in surviving or surviving[key][0] < sequence:
+                surviving[key] = (sequence, body, tombstone, channels[where])
+        reference = Registry()
+        for _, body, tombstone, channel in surviving.values():
+            assert reference.apply(body, tombstone=tombstone, channel=channel)
+        assert registry.listing(held) == reference.listing(held)
+
+
+def test_an_unchanged_registry_is_decoded_once(monkeypatch):
+    calls = []
+
+    def counting(raw, enc_key):
+        calls.append(1)
+        return decrypt_payload_json(raw, enc_key)
+
+    monkeypatch.setattr(node_module, "decrypt_payload_json", counting)
+    registry = Registry()
+    registry.apply(_announcement("p1", _MEMBER.key_id, "alpha", 1), tombstone=False)
+    held = {_MEMBER.key_id: _MEMBER}
+    first = registry.listing(held)
+    assert [str(r.ref) for r in first] == ["alpha@1"] and len(calls) == 1
+    assert registry.listing(held) == first
+    assert len(calls) == 1  # nothing changed, so nothing was decrypted again
+
+
+def test_a_mutated_listing_does_not_leak_into_the_next():
+    registry = Registry()
+    registry.apply(_announcement("p1", PUBLIC, "alpha", 1), tombstone=False)
+    listed = registry.listing({})
+    listed.clear()
+    assert [str(r.ref) for r in registry.listing({})] == ["alpha@1"]
+
+
+def test_a_joined_group_shows_offers_already_received(lan_pair, tmp_path):
+    a, b = lan_pair
+    key = new_group_key("optics")
+    b.add_group_key(key)
+    b.install_descriptor(identity_descriptor(tmp_path, name="secret"))
+    b.install_descriptor(identity_descriptor(tmp_path, name="open"))
+    b.publish("secret@1", group="optics")
+    b.publish("open@1")
+    # one session delivers in order, so the group offer is in by now
+    assert wait_until(lambda: a.remote_components())
+    assert [str(r.ref) for r in a.remote_components()] == ["open@1"]
+    a.add_group_key(key)
+    assert [str(r.ref) for r in a.remote_components()] == ["open@1", "secret@1"]
+
+
+def test_a_listing_after_concurrent_applies_sees_them_all():
+    # a decode that overlaps the last apply must not be kept over it; a short
+    # switch interval makes the two threads interleave inside the decode
+    registry = Registry()
+
+    def apply_all():
+        for i in range(200):
+            registry.apply(_announcement("p1", PUBLIC, f"t{i}", 1), tombstone=False)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        applier = threading.Thread(target=apply_all)
+        applier.start()
+        while applier.is_alive():
+            registry.listing({})
+        applier.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(registry.listing({})) == 200
+
+
+def test_a_decode_that_overlaps_an_apply_is_not_kept(monkeypatch):
+    registry = Registry()
+    registry.apply(_announcement("p1", PUBLIC, "alpha", 1), tombstone=False)
+    applier = threading.Thread(target=registry.apply, kwargs={
+        "body": _announcement("p1", PUBLIC, "beta", 1), "tombstone": False})
+    real = node_module.interface_from_json
+
+    def overlapping(doc):
+        if applier.ident is None:  # the first decoded entry starts the apply
+            applier.start()
+            applier.join(0.2)  # returns early only if the apply did not wait
+        return real(doc)
+
+    monkeypatch.setattr(node_module, "interface_from_json", overlapping)
+    registry.listing({})
+    applier.join()
+    assert [str(r.ref) for r in registry.listing({})] == ["alpha@1", "beta@1"]
+
+
+def test_installing_a_descriptor_adds_it_without_a_rescan(make_node, tmp_path):
+    node = make_node("installer")
+    first = identity_descriptor(tmp_path)
+    node.install_descriptor(first)
+    assert node.descriptor("identity@1") == first
+    assert make_node("installer").descriptor("identity@1") == first
+    # the same name@version again replaces the entry, here and on disk
+    second = identity_descriptor(tmp_path, doc="Now documented.")
+    node.install_descriptor(second)
+    assert node.descriptor("identity@1") == second
+    assert make_node("installer").descriptor("identity@1") == second
 
 
 def test_list_triggers_reannouncement(lan_pair, tmp_path):
