@@ -33,20 +33,21 @@ from . import wire
 from .components import BuiltinCatalog
 from .config import NodeConfig, PROTOCOL_VERSION, node_identity, parse_address
 from .engine import Engine, InstancePlan, MsClock, new_run_id
-from .errors import (ConfigError, CryptoError, EngineError, NetworkError,
-                     PlacementError, ToolExecutionError, ToolgridError,
-                     WorkflowParseError)
+from .errors import (ConfigError, CryptoError, DescriptorError, NetworkError,
+                     EngineError, ToolExecutionError, ToolgridError)
 from .groups import (PUBLIC, GroupKey, announcement_slot, decrypt_announcement,
                      decrypt_payload_json, encrypt_announcement,
                      encrypt_payload_json, load_group_keys, membership_proof,
                      new_challenge, save_group_key, verify_proof)
 from .store import RunStore
-from .tools import ExecutionOutcome, ToolDescriptor, execute_tool, parse_descriptor
+from .tools import (ExecutionOutcome, ToolDescriptor, descriptor_to_json,
+                    execute_tool, parse_descriptor)
 from .values import Datum, DatumType, datum_from_json
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
 from .workflow import (ComponentInstance, ComponentInterface, ComponentRef,
-                       Diagnostic, Endpoint, WorkflowGraph, parse_workflow,
-                       plan_placement, serialize_workflow, validate_graph)
+                       Diagnostic, Endpoint, WorkflowGraph, interface_to_json,
+                       parse_workflow, plan_placement, serialize_workflow,
+                       validate_graph)
 
 log = logging.getLogger("toolgrid.node")
 
@@ -60,11 +61,14 @@ ZERO_MAC_KEY = b"\x00" * 32  # lets non-members answer a challenge, unprovably
 KEEPALIVE_IDLE = 15
 KEEPALIVE_INTERVAL = 5
 KEEPALIVE_COUNT = 3
+# unacknowledged data gets as long as keepalive takes to give up
+USER_TIMEOUT_MS = (KEEPALIVE_IDLE + KEEPALIVE_INTERVAL * KEEPALIVE_COUNT) * 1000
 
 
 def keepalive(sock: socket.socket) -> socket.socket:
-    """Let the kernel notice a peer that vanished without closing, and send
-    each frame without waiting for the peer's delayed ACK (TCP_NODELAY).
+    """Let the kernel notice a peer that vanished without closing, also with
+    bytes in flight (TCP_USER_TIMEOUT), and send each frame without waiting
+    for the peer's delayed ACK (TCP_NODELAY).
 
     A request has no deadline of its own, so a dead host must end the
     connection; the reader then closes the channel and wakes its waiters.
@@ -73,7 +77,8 @@ def keepalive(sock: socket.socket) -> socket.socket:
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
     for option, value in (("TCP_KEEPIDLE", KEEPALIVE_IDLE),
                           ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL),
-                          ("TCP_KEEPCNT", KEEPALIVE_COUNT)):
+                          ("TCP_KEEPCNT", KEEPALIVE_COUNT),
+                          ("TCP_USER_TIMEOUT", USER_TIMEOUT_MS)):
         if hasattr(socket, option):
             sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, option), value)
     return sock
@@ -144,6 +149,51 @@ class FramedSocket:
             self.close()
             return False
 
+    def send_chunks(self, frame_type: int, header: dict, data: bytes) -> None:
+        """Send ``data`` as ``frame_type`` chunks (see wire.chunk_frames)."""
+        for frame in chunk_frames(frame_type, header, data):
+            if not self.send(frame):
+                return
+
+    def refuse(self, code: str, message: str) -> NetworkError:
+        """Answer with ERROR ``code`` and close; returns the error to raise."""
+        self.send(Frame(wire.ERROR, {"code": code, "message": message}))
+        self.close()
+        return NetworkError(code, message)
+
+    def hello(self, greeting: Optional[dict] = None) -> tuple[dict, FrameReader]:
+        """Send ``greeting`` as HELLO, if given, then read the peer's HELLO.
+
+        Both happen within HANDSHAKE_TIMEOUT. Returns the peer's HELLO body
+        and the reader for the frames after it. An ERROR reply raises its
+        code. A missing or malformed HELLO is BAD_HANDSHAKE and another
+        protocol version VERSION_MISMATCH; both are answered with an ERROR of
+        that code. A stream that cannot be read is closed without an answer.
+        """
+        sock = self._sock
+        sock.settimeout(HANDSHAKE_TIMEOUT)
+        if greeting is not None:
+            self.send(Frame(wire.HELLO,
+                            dict(greeting, protocol_version=PROTOCOL_VERSION)))
+        reader = FrameReader(sock.recv)
+        try:
+            frame = reader.next_frame()
+        except (ToolgridError, OSError) as exc:
+            self.close()
+            raise NetworkError("BAD_HANDSHAKE", f"handshake failed: {exc}") from exc
+        body = frame.body if frame is not None and frame.body else {}
+        if frame is not None and frame.type == wire.ERROR:
+            self.close()
+            code = str(body.get("code", "BAD_HANDSHAKE"))
+            raise NetworkError(code, f"peer refused the session: {code}")
+        if frame is None or frame.type != wire.HELLO or not body:
+            raise self.refuse("BAD_HANDSHAKE", "expected HELLO first")
+        if body.get("protocol_version") != PROTOCOL_VERSION:
+            raise self.refuse("VERSION_MISMATCH",
+                              f"speaking protocol {PROTOCOL_VERSION}")
+        sock.settimeout(None)
+        return body, reader
+
     def pump(self, reader: FrameReader, on_frame: Callable[[Frame], None]) -> None:
         """Hand every frame to ``on_frame`` until the connection ends, then close."""
         try:
@@ -174,15 +224,6 @@ def canonical_digest(body: Mapping) -> bytes:
     """
     data = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
     return hashlib.sha256(data).digest()
-
-
-def interface_to_json(interface: ComponentInterface) -> dict:
-    return {
-        "inputs": [{"name": e.name, "type": e.datum_type.value,
-                    "handling": e.handling} for e in interface.inputs],
-        "outputs": [{"name": e.name, "type": e.datum_type.value}
-                    for e in interface.outputs],
-    }
 
 
 def interface_from_json(doc: Mapping) -> ComponentInterface:
@@ -385,39 +426,13 @@ class PeerSession(Channel):
 
     def handshake(self) -> None:
         """Both ends send HELLO first, then read the other's."""
-        sock = self._sock
-        sock.settimeout(HANDSHAKE_TIMEOUT)
-        self.send(Frame(wire.HELLO, {
-            "protocol_version": PROTOCOL_VERSION,
-            "node_id": self._node.node_id,
-            "display_name": self._node.display_name,
-        }))
-        self._reader = FrameReader(sock.recv)
-        try:
-            frame = self._reader.next_frame()
-        except (ToolgridError, OSError) as exc:
-            self.close()
-            raise NetworkError("BAD_HANDSHAKE", f"handshake failed: {exc}") from exc
-        if frame is None or frame.type != wire.HELLO or not frame.body:
-            self.close()
-            raise NetworkError("BAD_HANDSHAKE", "peer did not say hello")
-        body = frame.body
-        if body.get("protocol_version") != PROTOCOL_VERSION:
-            self.send(Frame(wire.ERROR, {
-                "code": "VERSION_MISMATCH",
-                "message": f"speaking protocol {PROTOCOL_VERSION}",
-            }))
-            self.close()
-            raise NetworkError(
-                "VERSION_MISMATCH",
-                f"peer speaks protocol {body.get('protocol_version')!r}")
+        body, self._reader = self.hello({"node_id": self._node.node_id,
+                                         "display_name": self._node.display_name})
         node_id = body.get("node_id")
         if not isinstance(node_id, str) or not node_id:
-            self.close()
-            raise NetworkError("BAD_HANDSHAKE", "hello carries no node_id")
+            raise self.refuse("BAD_HANDSHAKE", "hello carries no node_id")
         self.peer_node_id = node_id
         self.peer_display_name = str(body.get("display_name", ""))
-        sock.settimeout(None)
 
     def start_reader(self) -> None:
         threading.Thread(target=self.pump, args=(self._reader, self.on_frame),
@@ -451,37 +466,77 @@ def _reply(queue: SimpleQueue, deadline: Optional[float] = None) -> Frame:
     if frame is None:
         raise NetworkError("TRANSPORT", "connection closed mid-request")
     if frame.type == wire.ERROR:
-        error = frame.body or {}
-        raise NetworkError(str(error.get("code", "TRANSPORT")),
-                           str(error.get("message", "routing failed")))
+        raise _peer_error(frame.body or {}, "routing failed")
     return frame
 
 
-class _BlobCollector:
-    """Reassembles chunked blobs and verifies their digests."""
+def _peer_error(error: Mapping, fallback: str) -> NetworkError:
+    """The error that an ``error`` document from a peer names."""
+    return NetworkError(str(error.get("code", "TRANSPORT")),
+                        str(error.get("message", fallback)))
 
-    def __init__(self, want: set[str]):
-        self.want = set(want)
-        self._buffers: dict[str, bytearray] = {}
-        self.done: dict[str, bytes] = {}
+
+class _Reassembler:
+    """Joins chunk frames: BLOB_CHUNK by digest, LOG_CHUNK by stream.
+
+    Only digests in ``want`` are buffered, or any digest when ``want`` is
+    None. Each blob is checked against its digest when its last chunk
+    arrives; the chunks of a finished blob are released.
+    """
+
+    def __init__(self, want: Optional[set[str]] = None):
+        self.want = want
+        self.blobs: dict[str, bytes] = {}
+        self.logs = {"stdout": bytearray(), "stderr": bytearray()}
+        self._partial: dict[str, bytearray] = {}
 
     def feed(self, frame: Frame) -> None:
         body = frame.body or {}
-        digest = str(body.get("digest", ""))
-        if digest not in self.want or digest in self.done:
+        if frame.type == wire.LOG_CHUNK:
+            stream = self.logs.get(str(body.get("stream", "")))
+            if stream is not None:
+                stream.extend(frame.binary)
             return
-        buffer = self._buffers.setdefault(digest, bytearray())
-        buffer.extend(frame.binary)
+        digest = str(body.get("digest", ""))
+        if digest in self.blobs or (self.want is not None and digest not in self.want):
+            return
+        partial = self._partial.setdefault(digest, bytearray())
+        partial.extend(frame.binary)
         if body.get("last"):
-            data = bytes(buffer)
+            data = bytes(self._partial.pop(digest))
             if hashlib.sha256(data).hexdigest() != digest:
                 raise NetworkError("TRANSPORT",
                                    f"blob {digest[:12]} corrupted in transit")
-            self.done[digest] = data
+            self.blobs[digest] = data
 
     @property
     def complete(self) -> bool:
-        return set(self.done) == self.want
+        """Every wanted blob has arrived (for a declared ``want`` only)."""
+        return self.want <= self.blobs.keys()
+
+
+# the reply that ends each served request, failed or not
+_REPLIES = {wire.EXEC_REQUEST: wire.EXEC_RESULT, wire.DOC_REQUEST: wire.DOC_RESPONSE,
+            wire.RUN_SUBMIT: wire.RUN_EVENT, wire.DATA_QUERY: wire.DATA_RESULT}
+
+
+def _failure(reply_type: int, exc: ToolgridError) -> dict:
+    """The body of a ``reply_type`` frame that reports ``exc`` to the caller."""
+    error = {"code": exc.code, "message": exc.message}
+    if reply_type == wire.RUN_EVENT:
+        return dict(error, kind="rejected", diagnostics=[
+            {"severity": d.severity, "code": d.code,
+             "location": d.location, "message": d.message}
+            for d in getattr(exc, "diagnostics", [])])
+    if isinstance(exc, ToolExecutionError):
+        extra = {"stage": exc.stage, "exit_status": exc.exit_status,
+                 "stdout": exc.stdout_ref, "stderr": exc.stderr_ref}
+        error.update((key, value) for key, value in extra.items() if value is not None)
+    if reply_type == wire.EXEC_RESULT:
+        return {"status": "failed", "error": error}
+    if reply_type == wire.DOC_RESPONSE:
+        return {"ok": False, "error": error}
+    return {"error": error}
 
 
 # -- publications -------------------------------------------------------------------
@@ -550,8 +605,22 @@ class Node:
             return self._descriptors.get(component)
 
     def install_descriptor(self, descriptor: ToolDescriptor) -> Path:
-        from .tools import descriptor_to_json
+        """Write ``tools/<name>-<version>.json`` and add the tool.
+
+        Raises DescriptorError(NAME_CLASH) when that file holds another
+        component: ``a-b@1`` and ``a@b-1`` would share one file.
+        """
         path = self.config.tools_dir / f"{descriptor.name}-{descriptor.version}.json"
+        if path.exists():
+            try:
+                held = parse_descriptor(path.read_text())
+            except ToolgridError:
+                held = None  # not a component; the node skipped it too
+            if held is not None and (held.name, held.version) != (
+                    descriptor.name, descriptor.version):
+                raise DescriptorError(
+                    "NAME_CLASH", f"{path.name} already holds "
+                    f"{held.name}@{held.version}")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(descriptor_to_json(descriptor))
         with self._lock:
@@ -778,114 +847,104 @@ class Node:
 
     def _serve_request(self, channel: Channel, frame: Frame,
                        queue: SimpleQueue) -> None:
-        request_id = frame.body["request_id"]
-        try:
-            if frame.type == wire.EXEC_REQUEST:
-                self._serve_exec(channel, frame, queue)
-            elif frame.type == wire.DOC_REQUEST:
-                self._serve_doc(channel, frame)
-            elif frame.type == wire.RUN_SUBMIT:
-                self._serve_run_submit(channel, frame)
-            elif frame.type == wire.DATA_QUERY:
-                self._serve_data_query(channel, frame)
-        except Exception:
-            log.exception("request %s failed", request_id)
-        finally:
-            channel.drop_queue(request_id)
-
-    # -- remote execution: hosting side ----------------------------------------------
-
-    def _serve_exec(self, channel: Channel, frame: Frame,
-                    queue: SimpleQueue) -> None:
+        """Serve one request and answer it with its reply, also on failure."""
         body = frame.body
         request_id = body["request_id"]
+        reply_type = _REPLIES[frame.type]
+        try:
+            if frame.type == wire.EXEC_REQUEST:
+                reply = self._serve_exec(channel, body, queue)
+            elif frame.type == wire.DOC_REQUEST:
+                reply = self._serve_doc(body)
+            elif frame.type == wire.RUN_SUBMIT:
+                reply = self._serve_run_submit(channel, body)
+            else:
+                reply = self._serve_data_query(body)
+        except ToolgridError as exc:
+            reply = _failure(reply_type, exc)
+        except Exception as exc:
+            log.exception("request %s failed", request_id)
+            reply = _failure(reply_type, ToolgridError(
+                "INTERNAL", f"the host failed ({type(exc).__name__})"))
+        finally:
+            channel.drop_queue(request_id)
+        channel.send(Frame(reply_type, dict(reply, request_id=request_id)))
 
-        def refuse(code: str, message: str, **extra) -> None:
-            error = {"code": code, "message": message}
-            error.update({k: v for k, v in extra.items() if v is not None})
-            channel.send(Frame(wire.EXEC_RESULT, {
-                "request_id": request_id, "status": "failed", "error": error}))
-
+    def _offered(self, body: Mapping) -> _Publication:
+        """The publication a request names, or UNKNOWN_COMPONENT."""
         component = str(body.get("component", ""))
         with self._lock:
             publication = self._published.get(component)
         if publication is None or publication.wire_group != body.get("group"):
-            refuse("UNKNOWN_COMPONENT", f"{component!r} is not offered here")
-            return
+            raise NetworkError("UNKNOWN_COMPONENT",
+                               f"{component!r} is not offered here")
+        return publication
+
+    # -- remote execution: hosting side ----------------------------------------------
+
+    def _serve_exec(self, channel: Channel, body: dict,
+                    queue: SimpleQueue) -> dict:
+        request_id = body["request_id"]
+        publication = self._offered(body)
+        declared = body.get("blobs", [])
+        if not isinstance(declared, list) or not all(
+                isinstance(digest, str) for digest in declared):
+            raise NetworkError("BAD_REQUEST", "blobs must be a list of digests")
 
         # the proof and the input blobs must arrive in time; the tool's own
         # run has no deadline
         deadline = time.monotonic() + REQUEST_TIMEOUT
-        collector = _BlobCollector(set(body.get("blobs", [])))
-        try:
-            if publication.group_key is not None:
-                nonce = new_challenge()
-                channel.send(Frame(wire.CHALLENGE, {
-                    "request_id": request_id, "nonce": nonce.hex()}))
-                tag = None
-                while tag is None:
-                    incoming = _reply(queue, deadline)
-                    if incoming.type == wire.PROOF:
-                        tag = str((incoming.body or {}).get("tag", ""))
-                    elif incoming.type == wire.BLOB_CHUNK:
-                        collector.feed(incoming)  # buffered, stored only once proven
+        chunks = _Reassembler(set(declared))
+        proven = publication.group_key is None
+        if not proven:
+            nonce = new_challenge()
+            channel.send(Frame(wire.CHALLENGE, {
+                "request_id": request_id, "nonce": nonce.hex()}))
+        while not (proven and chunks.complete):
+            incoming = _reply(queue, deadline)
+            if incoming.type == wire.BLOB_CHUNK:
+                chunks.feed(incoming)  # buffered, stored only once proven
+            elif incoming.type == wire.PROOF and not proven:
                 try:
-                    tag_bytes = bytes.fromhex(tag)
+                    tag = bytes.fromhex(str((incoming.body or {}).get("tag", "")))
                 except ValueError:
-                    tag_bytes = b""
-                if len(tag_bytes) != 32 or not verify_proof(
+                    tag = b""
+                if len(tag) != 32 or not verify_proof(
                         publication.group_key.material.mac_key, nonce,
-                        canonical_digest(body), tag_bytes):
-                    refuse("AUTH_FAILED", "membership proof rejected")
-                    return
-            while not collector.complete:
-                incoming = _reply(queue, deadline)
-                if incoming.type == wire.BLOB_CHUNK:
-                    collector.feed(incoming)
-        except NetworkError as exc:
-            refuse(exc.code, exc.message)
-            return
-        for data in collector.done.values():
+                        canonical_digest(body), tag):
+                    raise NetworkError("AUTH_FAILED", "membership proof rejected")
+                proven = True
+        for data in chunks.blobs.values():
             self.blobs.put(data)
 
         try:
             inputs = {name: datum_from_json(doc)
                       for name, doc in dict(body.get("inputs", {})).items()}
         except (ValueError, TypeError, KeyError) as exc:
-            refuse("BAD_REQUEST", f"undecodable inputs: {exc}")
-            return
+            raise NetworkError("BAD_REQUEST", f"undecodable inputs: {exc}") from exc
 
-        def send_stream(stream: str, data: bytes) -> None:
-            for chunk in chunk_frames(wire.LOG_CHUNK, {
-                    "request_id": request_id, "stream": stream}, data):
-                channel.send(chunk)
+        def send_logs(ran) -> None:
+            # ``ran`` is the outcome or the ToolExecutionError of the tool
+            for stream, ref in (("stdout", ran.stdout_ref), ("stderr", ran.stderr_ref)):
+                if ref:
+                    channel.send_chunks(wire.LOG_CHUNK, {
+                        "request_id": request_id, "stream": stream},
+                        self.blobs.get(ref))
 
         try:
             outcome = execute_tool(publication.descriptor, inputs,
                                    self.work_dir, self.blobs)
         except ToolExecutionError as exc:
-            for stream, ref in (("stdout", exc.stdout_ref), ("stderr", exc.stderr_ref)):
-                if ref:
-                    send_stream(stream, self.blobs.get(ref))
-            refuse(exc.code, exc.message, stage=exc.stage,
-                   exit_status=exc.exit_status, stdout=exc.stdout_ref,
-                   stderr=exc.stderr_ref)
-            return
-        except ToolgridError as exc:
-            refuse(exc.code, exc.message)
-            return
-
-        send_stream("stdout", self.blobs.get(outcome.stdout_ref))
-        send_stream("stderr", self.blobs.get(outcome.stderr_ref))
+            send_logs(exc)
+            raise
+        send_logs(outcome)
         for datum in outcome.outputs.values():
             if datum.type is DatumType.FILE:
                 digest = datum.value.digest
-                for chunk in chunk_frames(wire.BLOB_CHUNK, {
-                        "request_id": request_id, "digest": digest,
-                        "role": "output"}, self.blobs.get(digest)):
-                    channel.send(chunk)
-        channel.send(Frame(wire.EXEC_RESULT, {
-            "request_id": request_id,
+                channel.send_chunks(wire.BLOB_CHUNK, {
+                    "request_id": request_id, "digest": digest,
+                    "role": "output"}, self.blobs.get(digest))
+        return {
             "status": "ok",
             "exit_status": outcome.exit_status,
             "outputs": {name: datum.to_json()
@@ -894,30 +953,17 @@ class Node:
             "stderr": outcome.stderr_ref,
             "started_at": outcome.started_at,
             "finished_at": outcome.finished_at,
-        }))
+        }
 
-    def _serve_doc(self, channel: Channel, frame: Frame) -> None:
-        body = frame.body
-        request_id = body["request_id"]
-        component = str(body.get("component", ""))
-        with self._lock:
-            publication = self._published.get(component)
-        if publication is None or publication.wire_group != body.get("group"):
-            channel.send(Frame(wire.DOC_RESPONSE, {
-                "request_id": request_id, "ok": False,
-                "error": {"code": "UNKNOWN_COMPONENT",
-                          "message": f"{component!r} is not offered here"}}))
-            return
+    def _serve_doc(self, body: dict) -> dict:
+        publication = self._offered(body)
         doc = publication.descriptor.documentation or ""
         if publication.group_key is None:
-            payload = {"encrypted": False, "doc": doc}
-        else:
-            ciphertext = encrypt_announcement(
-                doc.encode(), publication.group_key.material.enc_key)
-            payload = {"encrypted": True,
-                       "doc": base64.b64encode(ciphertext).decode()}
-        payload.update({"request_id": request_id, "ok": True})
-        channel.send(Frame(wire.DOC_RESPONSE, payload))
+            return {"ok": True, "encrypted": False, "doc": doc}
+        ciphertext = encrypt_announcement(
+            doc.encode(), publication.group_key.material.enc_key)
+        return {"ok": True, "encrypted": True,
+                "doc": base64.b64encode(ciphertext).decode()}
 
     # -- remote execution: calling side ------------------------------------------------
 
@@ -960,18 +1006,14 @@ class Node:
         request_digest = canonical_digest(body)
 
         queue = channel.request_queue(request_id)
+        chunks = _Reassembler()
         try:
             channel.send(Frame(wire.EXEC_REQUEST, body))
             for digest in body["blobs"]:
-                for chunk in chunk_frames(wire.BLOB_CHUNK, {
-                        "request_id": request_id, "digest": digest,
-                        "role": "input"}, self.blobs.get(digest)):
-                    channel.send(chunk)
-            collector = _BlobCollector(set())
-            logs = {"stdout": bytearray(), "stderr": bytearray()}
-            result: Optional[dict] = None
-            while result is None:
-                frame = _reply(queue)
+                channel.send_chunks(wire.BLOB_CHUNK, {
+                    "request_id": request_id, "digest": digest,
+                    "role": "input"}, self.blobs.get(digest))
+            while (frame := _reply(queue)).type != wire.EXEC_RESULT:
                 if frame.type == wire.CHALLENGE:
                     nonce = bytes.fromhex(str((frame.body or {}).get("nonce", "")))
                     key = self.group_keys.get(group)
@@ -981,32 +1023,25 @@ class Node:
                     if target is not None:
                         reply["target"] = target
                     channel.send(Frame(wire.PROOF, reply))
-                elif frame.type == wire.LOG_CHUNK:
-                    stream = str((frame.body or {}).get("stream", ""))
-                    if stream in logs:
-                        logs[stream].extend(frame.binary)
-                elif frame.type == wire.BLOB_CHUNK:
-                    collector.want.add(str((frame.body or {}).get("digest", "")))
-                    collector.feed(frame)
-                elif frame.type == wire.EXEC_RESULT:
-                    result = frame.body or {}
+                elif frame.type in wire.BINARY_TYPES:
+                    chunks.feed(frame)
+            result = frame.body or {}
         finally:
             channel.drop_queue(request_id)
 
-        for data in collector.done.values():
+        for data in chunks.blobs.values():
             self.blobs.put(data)
-        stdout_ref = self.blobs.put(bytes(logs["stdout"]))
-        stderr_ref = self.blobs.put(bytes(logs["stderr"]))
+        stdout_ref = self.blobs.put(bytes(chunks.logs["stdout"]))
+        stderr_ref = self.blobs.put(bytes(chunks.logs["stderr"]))
 
         if result.get("status") != "ok":
             error = result.get("error") or {}
-            code = str(error.get("code", "TRANSPORT"))
-            message = str(error.get("message", "remote execution failed"))
-            if code in ("AUTH_FAILED", "UNKNOWN_COMPONENT", "TRANSPORT",
-                        "BAD_REQUEST"):
-                raise NetworkError(code, message)
+            failure = _peer_error(error, "remote execution failed")
+            if failure.code in ("AUTH_FAILED", "UNKNOWN_COMPONENT", "TRANSPORT",
+                                "BAD_REQUEST"):
+                raise failure
             raise ToolExecutionError(
-                code, message, stage=error.get("stage"),
+                failure.code, failure.message, stage=error.get("stage"),
                 exit_status=error.get("exit_status"),
                 stdout_ref=error.get("stdout"), stderr_ref=error.get("stderr"))
 
@@ -1040,9 +1075,7 @@ class Node:
             raise NetworkError("TRANSPORT", "no documentation response")
         reply = frame.body or {}
         if not reply.get("ok"):
-            error = reply.get("error") or {}
-            raise NetworkError(str(error.get("code", "TRANSPORT")),
-                               str(error.get("message", "documentation refused")))
+            raise _peer_error(reply.get("error") or {}, "documentation refused")
         doc = str(reply.get("doc", ""))
         if not reply.get("encrypted"):
             return doc
@@ -1144,59 +1177,36 @@ class Node:
 
     # -- run submission and data queries over the LAN ------------------------------------
 
-    def _serve_run_submit(self, session: PeerSession, frame: Frame) -> None:
-        body = frame.body
+    def _serve_run_submit(self, session: PeerSession, body: dict) -> dict:
         request_id = body["request_id"]
-
-        def event(kind: str, **fields) -> dict:
-            doc = {"request_id": request_id, "kind": kind}
-            doc.update(fields)
-            return doc
 
         def forward(run_event: dict) -> None:
             # the engine's threads call this; once the submitting client
             # disconnects the sends fail and the run carries on regardless
-            session.send(Frame(wire.RUN_EVENT, event("event", event_doc=run_event)))
+            session.send(Frame(wire.RUN_EVENT, {
+                "request_id": request_id, "kind": "event", "event_doc": run_event}))
             if run_event.get("event") == "run-finished":
-                session.send(Frame(wire.RUN_EVENT,
-                                   event("done", state=run_event.get("state"))))
+                session.send(Frame(wire.RUN_EVENT, {
+                    "request_id": request_id, "kind": "done",
+                    "state": run_event.get("state")}))
 
-        try:
-            engine = self.start_run(
-                str(body.get("workflow", "")),
-                overrides=body.get("overrides") or None,
-                on_event=forward if body.get("watch") else None)
-        except (WorkflowParseError, EngineError, PlacementError) as exc:
-            diagnostics = [
-                {"severity": d.severity, "code": d.code,
-                 "location": d.location, "message": d.message}
-                for d in getattr(exc, "diagnostics", [])]
-            session.send(Frame(wire.RUN_EVENT, event(
-                "rejected", code=exc.code, message=exc.message,
-                diagnostics=diagnostics)))
-            return
-        session.send(Frame(wire.RUN_EVENT, event("accepted", run_id=engine.run_id)))
+        engine = self.start_run(
+            str(body.get("workflow", "")),
+            overrides=body.get("overrides") or None,
+            on_event=forward if body.get("watch") else None)
+        return {"kind": "accepted", "run_id": engine.run_id}
 
-    def _serve_data_query(self, session: PeerSession, frame: Frame) -> None:
-        body = frame.body
-        request_id = body["request_id"]
+    def _serve_data_query(self, body: dict) -> dict:
         query = body.get("query")
-        reply: dict = {"request_id": request_id}
-        try:
-            if query == "runs":
-                reply["runs"] = self.store.list_runs()
-            elif query == "run":
-                run_id = str(body.get("run_id", ""))
-                reply["meta"] = self.store.run_meta(run_id)
-                reply["records"] = [record.to_json()
-                                    for record in self.store.query_run(run_id)]
-                reply["events"] = self.store.events(run_id)
-            else:
-                reply["error"] = {"code": "BAD_REQUEST",
-                                  "message": f"unknown query {query!r}"}
-        except ToolgridError as exc:
-            reply["error"] = {"code": exc.code, "message": exc.message}
-        session.send(Frame(wire.DATA_RESULT, reply))
+        if query == "runs":
+            return {"runs": self.store.list_runs()}
+        if query != "run":
+            raise NetworkError("BAD_REQUEST", f"unknown query {query!r}")
+        run_id = str(body.get("run_id", ""))
+        return {"meta": self.store.run_meta(run_id),
+                "records": [record.to_json()
+                            for record in self.store.query_run(run_id)],
+                "events": self.store.events(run_id)}
 
     # -- client-side run submission ------------------------------------------------------
 
@@ -1263,10 +1273,8 @@ class Node:
         if frame.type != wire.DATA_RESULT:
             raise NetworkError("TRANSPORT", "no data result")
         reply = frame.body or {}
-        error = reply.get("error")
-        if error:
-            raise NetworkError(str(error.get("code", "TRANSPORT")),
-                               str(error.get("message", "query failed")))
+        if reply.get("error"):
+            raise _peer_error(reply["error"], "query failed")
         return reply
 
 

@@ -32,7 +32,8 @@ from typing import Mapping, Optional, Sequence
 from .errors import DescriptorError, ToolExecutionError
 from .store import BlobStore
 from .values import Datum, DatumType, convert, convertible
-from .workflow import IDENT_RE, VERSION_RE, ComponentInterface, Endpoint
+from .workflow import (IDENT_RE, VERSION_RE, ComponentInterface, Endpoint,
+                       interface_to_json)
 
 PLACEHOLDER_RE = re.compile(r"\$\{([^}]*)\}")
 KNOWN_OS = ("linux", "windows")
@@ -186,14 +187,8 @@ def descriptor_to_json(descriptor: ToolDescriptor) -> str:
         "name": descriptor.name,
         "version": descriptor.version,
         "commands": dict(descriptor.commands),
-        "inputs": [
-            {"name": e.name, "type": e.datum_type.value, "handling": e.handling}
-            for e in descriptor.inputs
-        ],
-        "outputs": [
-            {"name": e.name, "type": e.datum_type.value} for e in descriptor.outputs
-        ],
     }
+    doc.update(interface_to_json(descriptor.interface()))
     if descriptor.pre_script is not None:
         doc["preScript"] = descriptor.pre_script
     if descriptor.post_script is not None:

@@ -26,10 +26,9 @@ from typing import Mapping, Optional
 
 from . import wire
 from .config import PROTOCOL_VERSION, UplinkSettings, parse_address
-from .errors import ConfigError, NetworkError, ToolgridError
-from .node import (HANDSHAKE_TIMEOUT, Channel, FramedSocket, close_listener,
-                   dial, serve_tcp)
-from .wire import Frame, FrameReader, encode_frame, type_name
+from .errors import ConfigError, NetworkError
+from .node import Channel, FramedSocket, close_listener, dial, serve_tcp
+from .wire import Frame, encode_frame, type_name  # noqa: F401 (traced by name)
 
 log = logging.getLogger("toolgrid.uplink")
 
@@ -110,57 +109,33 @@ class RelayServer:
     def _session_loop(self, sock: socket.socket) -> None:
         session = _RelaySession(sock)
         try:
-            sock.settimeout(HANDSHAKE_TIMEOUT)
-            reader = FrameReader(sock.recv)
-            if self._handshake(session, reader):
-                sock.settimeout(None)
-                session.pump(reader, functools.partial(self._forward, session))
-        except (ToolgridError, OSError):
-            pass
+            body, reader = session.hello()
+            self._admit(session, body)
+            session.pump(reader, functools.partial(self._forward, session))
+        except NetworkError:
+            pass  # refused: the session is closed already
         finally:
             self._detach(session)
 
-    def _handshake(self, session: _RelaySession, reader: FrameReader) -> bool:
-        frame = reader.next_frame()
-        if frame is None or frame.type != wire.HELLO or not frame.body:
-            session.send(Frame(wire.ERROR, {
-                "code": "BAD_HANDSHAKE", "message": "expected HELLO first"}))
-            session.close()
-            return False
-        body = frame.body
-        if body.get("protocol_version") != PROTOCOL_VERSION:
-            session.send(Frame(wire.ERROR, {
-                "code": "VERSION_MISMATCH",
-                "message": f"relay speaks protocol {PROTOCOL_VERSION}"}))
-            session.close()
-            return False
+    def _admit(self, session: _RelaySession, body: Mapping) -> None:
+        """Register an authenticated client and greet it, or refuse it."""
         client_id = body.get("client_id")
-        token = body.get("auth_token")
-        if (not isinstance(client_id, str) or not client_id
-                or self.tokens.get(client_id) != token):
-            session.send(Frame(wire.ERROR, {
-                "code": "AUTH_FAILED", "message": "unknown client or bad token"}))
-            session.close()
+        if (not isinstance(client_id, str) or client_id not in self.tokens
+                or self.tokens[client_id] != body.get("auth_token")):
             self._log(f"handshake refused for {client_id!r}: AUTH_FAILED")
-            return False
+            raise session.refuse("AUTH_FAILED", "unknown client or bad token")
         with self._lock:
-            if client_id in self._sessions or self._stopping:
-                duplicate = True
-            else:
-                duplicate = False
+            duplicate = client_id in self._sessions or self._stopping
+            if not duplicate:
                 session.client_id = client_id
                 self._sessions[client_id] = session
         if duplicate:
-            session.send(Frame(wire.ERROR, {
-                "code": "DUPLICATE_CLIENT",
-                "message": f"{client_id} is already connected"}))
-            session.close()
             self._log(f"handshake refused for {client_id}: DUPLICATE_CLIENT")
-            return False
+            raise session.refuse("DUPLICATE_CLIENT",
+                                 f"{client_id} is already connected")
         session.send(Frame(wire.HELLO, {
             "protocol_version": PROTOCOL_VERSION, "relay": True}))
         self._log(f"session {client_id} ACTIVE")
-        return True
 
     def _detach(self, session: _RelaySession) -> None:
         """Forget a closed session and tell the other end of each of its routes."""
@@ -310,28 +285,18 @@ class UplinkLink(Channel):
 
     def _connect_once(self) -> None:
         sock = dial(self._address)
-        reader = FrameReader(sock.recv)
-        hello = Frame(wire.HELLO, {
-            "protocol_version": PROTOCOL_VERSION,
-            "client_id": self.settings.client_id,
-            "auth_token": self.settings.token,
-            "node_id": self._node.node_id,
-            "display_name": self._node.display_name,
-        })
         try:
-            sock.sendall(encode_frame(hello))
-            reply = reader.next_frame()
-        except (OSError, ToolgridError) as exc:
-            sock.close()
-            raise NetworkError("CONNECT_FAILED", f"handshake failed: {exc}") from exc
-        if reply is not None and reply.type == wire.ERROR:
-            code = str((reply.body or {}).get("code", "AUTH_FAILED"))
-            sock.close()
-            raise NetworkError(code, f"relay refused the session: {code}")
-        if reply is None or reply.type != wire.HELLO:
-            sock.close()
-            raise NetworkError("CONNECT_FAILED", "relay did not complete handshake")
-        sock.settimeout(None)
+            _, reader = FramedSocket(sock).hello({
+                "client_id": self.settings.client_id,
+                "auth_token": self.settings.token,
+                "node_id": self._node.node_id,
+                "display_name": self._node.display_name,
+            })
+        except NetworkError as exc:
+            if exc.code != "BAD_HANDSHAKE":
+                raise
+            raise NetworkError("CONNECT_FAILED",
+                               f"relay did not complete handshake: {exc.message}") from exc
         self._sock = sock
         self._reader = reader
         self._connected.set()

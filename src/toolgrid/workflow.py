@@ -90,6 +90,16 @@ class ComponentInterface:
         return next((e for e in self.outputs if e.name == name), None)
 
 
+def interface_to_json(interface: ComponentInterface) -> dict:
+    """The ``inputs``/``outputs`` JSON of descriptor files and announcements."""
+    return {
+        "inputs": [{"name": e.name, "type": e.datum_type.value,
+                    "handling": e.handling} for e in interface.inputs],
+        "outputs": [{"name": e.name, "type": e.datum_type.value}
+                    for e in interface.outputs],
+    }
+
+
 class ComponentCatalog(Protocol):
     """Resolves component references to their typed interfaces."""
 

@@ -11,14 +11,15 @@ import pytest
 from toolgrid import node as node_module
 from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
-from toolgrid.errors import NetworkError
+from toolgrid.errors import NetworkError, ToolgridError
 from toolgrid.groups import PUBLIC
-from toolgrid.node import PeerSession
+from toolgrid.node import PeerSession, link_nodes
 from toolgrid.uplink import UplinkLink
+from toolgrid.values import Datum
 from toolgrid.wire import MAX_FRAME, Frame, FrameReader
 
-from test_node import identity_descriptor
-from test_uplink import TOKENS, RawClient
+from test_node import identity_descriptor, wait_until
+from test_uplink import TOKENS, RawClient, uplinked
 
 
 @pytest.fixture
@@ -145,3 +146,63 @@ def test_an_oversized_frame_ends_the_link_for_the_other_end(kind, make_node,
         host.close()
         assert error.body["code"] == "ROUTE_UNAVAILABLE"
         assert error.body["request_id"] == "req-1"
+
+
+def _failing_host(kind, request, make_node, make_relay, tmp_path, monkeypatch):
+    """A host whose serving code raises OSError for ``request``, and a
+    function that makes that request from a linked caller."""
+    if kind == "lan":
+        host, caller = make_node("host"), make_node("caller")
+        link_nodes(host, caller)
+        component = "identity@1"
+    else:
+        _, port = make_relay(TOKENS)
+        host = uplinked(make_node, port, "acme", "host")
+        caller = uplinked(make_node, port, "beta", "caller")
+        component = "acme::identity@1"
+    host.install_descriptor(identity_descriptor(tmp_path))
+    host.publish("identity@1")
+    assert wait_until(lambda: caller.remote_components())
+
+    def broken(*args, **kwargs):
+        raise OSError("disk gone")
+
+    if request == "exec":
+        monkeypatch.setattr(node_module, "execute_tool", broken)
+        return host, lambda: caller.remote_execute(
+            host.node_id, component, PUBLIC, {"x": Datum.integer(1)})
+    if request == "doc":
+        monkeypatch.setattr(host, "_offered", broken)
+        return host, lambda: caller.request_documentation(
+            host.node_id, component, PUBLIC)
+    if request == "run":
+        monkeypatch.setattr(host, "start_run", broken)
+        return host, lambda: caller.submit_run(host.node_id, "{}")
+    monkeypatch.setattr(host.store, "list_runs", broken)
+    return host, lambda: caller.query_runs(host.node_id)
+
+
+@pytest.mark.parametrize("kind, request_kind", [
+    ("lan", "exec"), ("lan", "doc"), ("lan", "run"), ("lan", "data"),
+    ("relay", "exec"), ("relay", "doc"),
+])
+def test_a_host_that_fails_still_answers(kind, request_kind, make_node, make_relay,
+                                         tmp_path, monkeypatch):
+    host, call = _failing_host(kind, request_kind, make_node, make_relay,
+                               tmp_path, monkeypatch)
+    codes = []
+
+    def caller():
+        try:
+            call()
+        except ToolgridError as exc:
+            codes.append(exc.code)
+
+    waiter = threading.Thread(target=caller, daemon=True)
+    waiter.start()
+    waiter.join(5)
+    assert codes == ["INTERNAL"]
+    if kind == "relay":
+        # the answer is a reply the relay forwards, not a bare ERROR that
+        # would end the host's session
+        assert host.uplink.connected()

@@ -215,6 +215,20 @@ def test_tool_integrate_list_publish_cycle(cfg):
     assert load_config(cfg).published == []
 
 
+def test_tool_integrate_refuses_a_descriptor_file_clash(cfg):
+    first = invoke(cfg, "tool", "integrate", "--name", "a-b", "--command", "true")
+    assert first.exit_code == 0, first.output
+    # a@b-1 would be written to the same tools/a-b-1.json
+    clash = invoke(cfg, "tool", "integrate", "--name", "a", "--version", "b-1",
+                   "--command", "true")
+    assert clash.exit_code == 2
+    assert "NAME_CLASH" in clash.stderr
+    again = invoke(cfg, "tool", "integrate", "--name", "a-b", "--command", "false")
+    assert again.exit_code == 0, again.output
+    rows = json.loads(invoke(cfg, "tool", "list", json_out=True).stdout)["components"]
+    assert [row["component"] for row in rows] == ["a-b@1"]
+
+
 def test_tool_publish_unknown_exits_two(cfg):
     result = invoke(cfg, "tool", "publish", "ghost@1")
     assert result.exit_code == 2

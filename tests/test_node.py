@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toolgrid import node as node_module, wire
-from toolgrid.config import PROTOCOL_VERSION
-from toolgrid.errors import ConfigError, NetworkError
+from toolgrid.config import PROTOCOL_VERSION, NodeConfig
+from toolgrid.errors import ConfigError, DescriptorError, NetworkError
 from toolgrid.groups import PUBLIC, announcement_slot, decrypt_payload_json, \
     derive_group_key_material, encrypt_payload_json, new_group_key
-from toolgrid.node import Registry, canonical_digest, link_nodes
+from toolgrid.node import Node, Registry, canonical_digest, link_nodes
 from toolgrid.tools import parse_descriptor
 from toolgrid.values import Datum, DatumType
 from toolgrid.wire import Frame, FrameReader
@@ -587,6 +587,55 @@ def test_canonical_digest_stable_under_reencoding():
     reencoded = json.loads(json.dumps(body))
     assert canonical_digest(body) == canonical_digest(reencoded)
     assert canonical_digest(body) != canonical_digest({**body, "b": 2})
+
+
+def test_a_descriptor_file_clash_is_refused(make_node):
+    def tool(name, version, command="true"):
+        return parse_descriptor(json.dumps({
+            "name": name, "version": version, "commands": {"linux": command}}))
+
+    node = make_node("clash")
+    path = node.install_descriptor(tool("a-b", "1"))
+    with pytest.raises(DescriptorError) as err:
+        node.install_descriptor(tool("a", "b-1"))  # also tools/a-b-1.json
+    assert err.value.code == "NAME_CLASH"
+    assert node.descriptor("a@b-1") is None
+    # installing the same component again replaces its file
+    assert node.install_descriptor(tool("a-b", "1", "false")) == path
+    fresh = Node(NodeConfig(node.config.config_dir))
+    try:
+        assert fresh.descriptor("a-b@1").commands == {"linux": "false"}
+        assert fresh.descriptor("a@b-1") is None
+    finally:
+        fresh.stop()
+
+
+def test_a_peer_that_does_not_say_hello_is_refused(make_node):
+    node = make_node("srv")
+    port = node.listen("127.0.0.1", 0)
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(wire.encode_frame(Frame(wire.PING, None)))
+        reader = FrameReader(sock.recv)
+        frames = []
+        while (frame := reader.next_frame()) is not None:
+            frames.append(frame)
+    assert [f.type for f in frames] == [wire.HELLO, wire.ERROR]
+    assert frames[-1].body["code"] == "BAD_HANDSHAKE"
+    assert node.session_for("f" * 32) is None
+
+
+@pytest.mark.parametrize("blobs", ["ab" * 32, 7, [1], [["ab"]]])
+def test_an_exec_request_with_malformed_blobs_is_refused_at_once(lan_pair, tmp_path,
+                                                                 blobs):
+    a, b = lan_pair
+    a.install_descriptor(identity_descriptor(tmp_path))
+    a.publish("identity@1")
+    reply = b.session_for(a.node_id).request(wire.EXEC_REQUEST, {
+        "component": "identity@1", "group": PUBLIC, "inputs": {}, "blobs": blobs},
+        time.monotonic() + 5)
+    assert reply.type == wire.EXEC_RESULT
+    assert reply.body["status"] == "failed"
+    assert reply.body["error"]["code"] == "BAD_REQUEST"
 
 
 def test_a_fresh_node_writes_only_what_it_uses(make_node, tmp_path):

@@ -10,9 +10,10 @@ from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import ConfigError, NetworkError
 from toolgrid.groups import PUBLIC, new_group_key
-from toolgrid.node import KEEPALIVE_IDLE
+from toolgrid.node import KEEPALIVE_COUNT, KEEPALIVE_IDLE, KEEPALIVE_INTERVAL
 from toolgrid.tools import parse_descriptor
-from toolgrid.uplink import ALLOWLIST, LOG_LINES_KEPT, RelayServer, load_token_table
+from toolgrid.uplink import (ALLOWLIST, LOG_LINES_KEPT, RelayServer, UplinkLink,
+                             load_token_table)
 from toolgrid.values import Datum
 from toolgrid.wire import Frame, FrameReader
 
@@ -132,6 +133,15 @@ def test_unknown_client_refused(relay):
     _, _, connect = relay
     client = connect("nobody", token="whatever")
     assert client.expect(wire.ERROR).body["code"] == "AUTH_FAILED"
+
+
+def test_unknown_client_without_a_token_refused(relay):
+    _, _, connect = relay
+    client = connect("nobody", hello=False)
+    client.send(Frame(wire.HELLO, {"protocol_version": PROTOCOL_VERSION,
+                                   "client_id": "nobody"}))
+    assert client.expect(wire.ERROR).body["code"] == "AUTH_FAILED"
+    assert client.recv() is None
 
 
 def test_version_mismatch_refused(relay):
@@ -437,6 +447,10 @@ def test_every_tcp_socket_probes_for_a_vanished_peer(make_relay, make_node):
         if hasattr(socket, "TCP_KEEPIDLE"):
             assert sock.getsockopt(socket.IPPROTO_TCP,
                                    socket.TCP_KEEPIDLE) == KEEPALIVE_IDLE, name
+        if hasattr(socket, "TCP_USER_TIMEOUT"):
+            # unacknowledged bytes give up when keepalive would
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_USER_TIMEOUT) == (
+                KEEPALIVE_IDLE + KEEPALIVE_INTERVAL * KEEPALIVE_COUNT) * 1000, name
 
 
 def test_every_tcp_socket_sends_without_delay(make_relay, make_node):
@@ -512,6 +526,27 @@ def test_clients_reconverge_after_relay_restart(make_node, tmp_path):
                         for r in b.remote_components()), timeout=10)
     finally:
         replacement.stop()
+
+
+def test_a_garbled_relay_reply_is_a_connect_failure(make_node):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def garble():
+        sock, _ = listener.accept()
+        listener.close()
+        with sock:
+            FrameReader(sock.recv).next_frame()  # the client's HELLO
+            sock.sendall(wire.encode_frame(Frame(wire.PING, None)))
+            sock.recv(1 << 16)
+
+    threading.Thread(target=garble, daemon=True).start()
+    node = make_node("garbled", uplink=UplinkSettings(
+        relay="127.0.0.1:%d" % listener.getsockname()[1], client_id="acme",
+        token="t"))
+    node.uplink = UplinkLink(node, node.config.uplink)
+    with pytest.raises(NetworkError) as err:
+        node.uplink._connect_once()
+    assert err.value.code == "CONNECT_FAILED"
 
 
 def test_auth_failure_aborts_node_start(make_relay, make_node):
