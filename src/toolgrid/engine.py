@@ -424,13 +424,12 @@ class Engine:
             self.store.append_event(self.run_id, at, event, **fields)
         except ToolgridError:
             pass
-        doc = {"run_id": self.run_id, "at": at, "event": event}
-        doc.update(fields)
-        self._pending_events.append(doc)
+        if self._on_event is not None:
+            self._pending_events.append(
+                {"run_id": self.run_id, "at": at, "event": event, **fields})
 
     def _flush_events(self) -> None:
         if self._on_event is None:
-            self._pending_events.clear()
             return
         while True:
             with self._lock:

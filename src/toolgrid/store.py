@@ -25,9 +25,15 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, TextIO
 
 from .errors import DataError
-from .values import Datum, DatumType, datum_from_json
+from .values import Datum, datum_from_json
 
 DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+
+# json.dumps(doc, sort_keys=True) with one encoder. Its lines are ASCII and
+# key-sorted: every event line starts with "at" and every execution line with
+# "component", so a reader skips the other kind's ASCII lines unparsed.
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+_OTHER_KIND_PREFIX = {"execution": b'{"at": ', "event": b'{"component": '}
 
 TERMINAL_STATES = ("COMPLETED", "STALLED", "FAILED", "CANCELLED")
 
@@ -147,7 +153,7 @@ def _blob_refs(record: ExecutionRecord) -> set[str]:
     refs: set[str] = set()
     for bucket in (record.inputs, record.outputs):
         for value in bucket.values():
-            if isinstance(value, dict) and value.get("type") == DatumType.FILE.value:
+            if isinstance(value, dict) and value.get("type") == "file":
                 refs.add(value["digest"])
     for stream in (record.stdout, record.stderr):
         if stream:
@@ -227,7 +233,7 @@ class RunStore:
             raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
 
     def _append_line(self, run_id: str, doc: dict) -> None:
-        line = json.dumps(doc, sort_keys=True) + "\n"
+        line = _encode_line(doc) + "\n"
         if run_id in self._logs:
             self._logs[run_id].write(line)
             return
@@ -237,7 +243,8 @@ class RunStore:
     def _keys(self, run_id: str) -> set[tuple[str, int]]:
         if run_id not in self._seen_keys:
             self._seen_keys[run_id] = {
-                (r.instance_id, r.execution_index) for r in self.query_run(run_id)}
+                (doc["instance_id"], doc["execution_index"])
+                for doc in self._docs(run_id, "execution")}
         return self._seen_keys[run_id]
 
     def record_execution(self, run_id: str, record: ExecutionRecord) -> None:
@@ -255,41 +262,45 @@ class RunStore:
             self._keys(run_id).add(key)
 
     def append_event(self, run_id: str, at: int, event: str, **fields) -> None:
-        doc = {"kind": "event", "at": at, "event": event}
-        doc.update(fields)
+        doc = {"kind": "event", "at": at, "event": event, **fields}
         with self._lock:
             self._check_open(run_id)
             self._append_line(run_id, doc)
 
-    def _read_lines(self, run_id: str) -> list[dict]:
-        path = self._run_dir(run_id) / "records.log"
-        if not path.exists():
-            raise DataError("NOT_FOUND", f"no run {run_id!r}")
-        # Every append ends in a newline, so text after the last one is a torn
-        # append from a crash and never committed.
-        lines = path.read_text().split("\n")[:-1]
-        out = []
-        for number, line in enumerate(lines, start=1):
-            if line.strip():
+    def _docs(self, run_id: str, kind: str) -> Iterator[dict]:
+        """Parse the ``kind`` lines of a run's records.log one at a time."""
+        try:
+            log = open(self._run_dir(run_id) / "records.log", "rb")
+        except FileNotFoundError:
+            raise DataError("NOT_FOUND", f"no run {run_id!r}") from None
+        skip = _OTHER_KIND_PREFIX[kind]
+        with log:
+            for number, line in enumerate(log, start=1):
+                # Every append ends in a newline, so a last line without one
+                # is a torn append from a crash and never committed.
+                if not line.endswith(b"\n"):
+                    return
+                if line.isspace() or (line.startswith(skip) and line.isascii()):
+                    continue
                 try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError as exc:
+                    doc = json.loads(line)
+                except ValueError as exc:  # undecodable bytes or malformed JSON
                     raise DataError("CORRUPT", f"records.log of run {run_id!r}, "
                                                f"line {number}: {exc}") from exc
-        return out
+                if doc.get("kind") == kind:
+                    yield doc
 
     def query_run(self, run_id: str, *,
                   instance_id: str | None = None) -> list[ExecutionRecord]:
         """Execution records ordered by (started_at, instance_id, seq)."""
-        records = [ExecutionRecord.from_json(doc) for doc in self._read_lines(run_id)
-                   if doc.get("kind") == "execution"]
-        if instance_id is not None:
-            records = [r for r in records if r.instance_id == instance_id]
+        records = [ExecutionRecord.from_json(doc)
+                   for doc in self._docs(run_id, "execution")
+                   if instance_id is None or doc["instance_id"] == instance_id]
         records.sort(key=lambda r: (r.started_at, r.instance_id, r.seq))
         return records
 
     def events(self, run_id: str) -> list[dict]:
-        return [doc for doc in self._read_lines(run_id) if doc.get("kind") == "event"]
+        return list(self._docs(run_id, "event"))
 
     def close_run(self, run_id: str, state: str, *, closed_at: int = 0) -> None:
         if state not in TERMINAL_STATES:
@@ -347,8 +358,8 @@ class RunStore:
             raise DataError("DANGLING_REF",
                             f"run {run_id!r} references missing blobs: {', '.join(missing)}")
         dest = Path(dest)
-        if dest.exists() and any(dest.iterdir()):
-            raise DataError("DEST_NOT_EMPTY", f"{dest} is not empty")
+        if dest.exists() and (not dest.is_dir() or any(dest.iterdir())):
+            raise DataError("DEST_NOT_EMPTY", f"{dest} is not an empty directory")
         (dest / "blobs").mkdir(parents=True, exist_ok=True)
         run_dir = self._run_dir(run_id)
         files: list[dict] = []

@@ -345,6 +345,15 @@ def test_data_show_unknown_run_exits_one(cfg):
     assert "NOT_FOUND" in result.stderr
 
 
+def test_data_show_an_undecodable_log_exits_one(cfg, tmp_path):
+    run_id = run_one(cfg, tmp_path)
+    with open(cfg / "store" / "runs" / run_id / "records.log", "ab") as fh:
+        fh.write(b'{"at": 1, "event": "\xff"}\n')
+    result = invoke(cfg, "data", "show", run_id)
+    assert result.exit_code == 1
+    assert "CORRUPT" in result.stderr and "line " in result.stderr
+
+
 # -- serve and uplink ------------------------------------------------------------------
 
 

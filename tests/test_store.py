@@ -1,10 +1,14 @@
 import hashlib
 import json
+import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toolgrid.errors import DataError
-from toolgrid.store import BlobStore, ExecutionRecord, RunStore, sha256_hex
+from toolgrid.store import (_OTHER_KIND_PREFIX, BlobStore, ExecutionRecord,
+                            RunStore, _encode_line, sha256_hex)
 from toolgrid.values import Datum
 
 WORKFLOW_TEXT = '{"name": "demo", "components": [], "connections": []}'
@@ -309,6 +313,107 @@ def test_undecodable_inner_line_is_corrupt(store, tmp_path):
             call()
         assert err.value.code == "CORRUPT"
         assert "line 2" in err.value.message
+
+
+@pytest.mark.parametrize("bad_line", [
+    b"\xff\xfe\n",
+    b'{"at": 15, "event": "caf\xe9", "kind": "event"}\n',
+    b'{"component": "tool@1", "inputs": {"t": "\xc3("}}\n',
+])
+def test_an_undecodable_byte_is_corrupt(store, tmp_path, bad_line):
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.append_event("r1", 10, "run-started")
+    log = tmp_path / "store" / "runs" / "r1" / "records.log"
+    with open(log, "ab") as fh:
+        fh.write(bad_line)
+    store.record_execution("r1", record())
+    store.close_run("r1", "COMPLETED")
+    for call in (lambda: store.events("r1"), lambda: store.query_run("r1"),
+                 lambda: store.export_run("r1", tmp_path / "export")):
+        with pytest.raises(DataError) as err:
+            call()
+        assert err.value.code == "CORRUPT"
+        assert "line 2" in err.value.message
+
+
+def test_export_refuses_a_dest_that_is_a_file(store, tmp_path):
+    store.open_run("r1", WORKFLOW_TEXT)
+    store.record_execution("r1", record())
+    store.close_run("r1", "COMPLETED")
+    dest = tmp_path / "export"
+    dest.write_bytes(b"keep me")
+    with pytest.raises(DataError) as err:
+        store.export_run("r1", dest)
+    assert err.value.code == "DEST_NOT_EMPTY"
+    assert dest.read_bytes() == b"keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["export", "store"]
+
+
+def _firing_log(store, firings):
+    """A closed run shaped like an optimizer loop: three lines per firing."""
+    store.open_run("r1", WORKFLOW_TEXT)
+    for idx in range(1, firings + 1):
+        inst = "opt" if idx % 2 else "gate"
+        store.append_event("r1", 3 * idx, "firing-started", instance=inst,
+                           execution_index=idx, node="n1")
+        store.record_execution("r1", record(
+            seq=idx, inst=inst, idx=idx, started=3 * idx,
+            inputs={"value": Datum.of_float(idx / 7).to_json()},
+            outputs={"x": Datum.of_float(idx / 3).to_json()},
+            upstream={"value": {"instance": "opt", "execution_index": idx,
+                                "output": "x"}}))
+        store.append_event("r1", 3 * idx + 2, "firing-finished", instance=inst,
+                           execution_index=idx, status="ok")
+    store.close_run("r1", "COMPLETED")
+    return (store.root / "runs" / "r1" / "records.log").stat().st_size
+
+
+def test_reading_a_run_back_holds_one_line_at_a_time(store):
+    size = _firing_log(store, 1000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert store.query_run("r1", instance_id="absent") == []
+        assert tracemalloc.get_traced_memory()[1] - base < 0.1 * size
+        for read, lines in ((store.query_run, 1000), (store.events, 2000)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = read("r1")
+            held, peak = tracemalloc.get_traced_memory()
+            assert len(result) == lines
+            assert peak - base <= 1.1 * (held - base)
+            del result
+    finally:
+        tracemalloc.stop()
+
+
+_text = st.text(max_size=8)
+_float = st.floats() | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf])
+_scalar = st.none() | st.booleans() | st.integers() | _float | _text
+_datum = st.fixed_dictionaries({"type": _text, "value": _scalar})
+_records = st.builds(
+    ExecutionRecord, seq=st.integers(), instance_id=_text,
+    execution_index=st.integers(1), component=_text, node=_text,
+    status=st.sampled_from(["ok", "failed"]), exit_status=st.none() | st.integers(),
+    started_at=st.integers(), finished_at=st.integers(),
+    inputs=st.dictionaries(_text, _datum), outputs=st.dictionaries(_text, _datum),
+    stdout=st.none() | _text, stderr=st.none() | _text,
+    error=st.none() | st.fixed_dictionaries({"code": _text, "message": _text}),
+    upstream=st.dictionaries(_text, st.none() | st.fixed_dictionaries(
+        {"instance": _text, "execution_index": st.integers(1), "output": _text})))
+_events = st.builds(
+    lambda at, event, fields: {"kind": "event", "at": at, "event": event, **fields},
+    st.integers(), _text,
+    st.dictionaries(_text.filter(lambda key: key != "kind"),
+                     _scalar | st.dictionaries(_text, _scalar)))
+
+
+@given(_records.map(ExecutionRecord.to_json) | _events)
+def test_the_line_encoder_matches_json_dumps(doc):
+    line = _encode_line(doc)
+    assert line == json.dumps(doc, sort_keys=True)
+    # readers skip lines by this prefix, so no line may carry the other's
+    assert not line.encode().startswith(_OTHER_KIND_PREFIX[doc["kind"]])
 
 
 # -- the held append handle ---------------------------------------------------------
