@@ -29,11 +29,8 @@ from .values import Datum, datum_from_json
 
 DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
-# json.dumps(doc, sort_keys=True) with one encoder. Its lines are ASCII and
-# key-sorted: every event line starts with "at" and every execution line with
-# "component", so a reader skips the other kind's ASCII lines unparsed.
+# json.dumps(doc, sort_keys=True) without building a new encoder per call.
 _encode_line = json.JSONEncoder(sort_keys=True).encode
-_OTHER_KIND_PREFIX = {"execution": b'{"at": ', "event": b'{"component": '}
 
 TERMINAL_STATES = ("COMPLETED", "STALLED", "FAILED", "CANCELLED")
 
@@ -268,19 +265,18 @@ class RunStore:
             self._append_line(run_id, doc)
 
     def _docs(self, run_id: str, kind: str) -> Iterator[dict]:
-        """Parse the ``kind`` lines of a run's records.log one at a time."""
+        """Parse each line of a run's records.log in turn; yield the ``kind`` ones."""
         try:
             log = open(self._run_dir(run_id) / "records.log", "rb")
         except FileNotFoundError:
             raise DataError("NOT_FOUND", f"no run {run_id!r}") from None
-        skip = _OTHER_KIND_PREFIX[kind]
         with log:
             for number, line in enumerate(log, start=1):
                 # Every append ends in a newline, so a last line without one
                 # is a torn append from a crash and never committed.
                 if not line.endswith(b"\n"):
                     return
-                if line.isspace() or (line.startswith(skip) and line.isascii()):
+                if line.isspace():
                     continue
                 try:
                     doc = json.loads(line)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toolgrid.errors import DataError
-from toolgrid.store import (_OTHER_KIND_PREFIX, BlobStore, ExecutionRecord,
-                            RunStore, _encode_line, sha256_hex)
+from toolgrid.store import (BlobStore, ExecutionRecord, RunStore, _encode_line,
+                            sha256_hex)
 from toolgrid.values import Datum
 
 WORKFLOW_TEXT = '{"name": "demo", "components": [], "connections": []}'
@@ -319,8 +319,11 @@ def test_undecodable_inner_line_is_corrupt(store, tmp_path):
     b"\xff\xfe\n",
     b'{"at": 15, "event": "caf\xe9", "kind": "event"}\n',
     b'{"component": "tool@1", "inputs": {"t": "\xc3("}}\n',
+    # torn appends that a later append turned into inner lines
+    b'{"at": 30, "event": "fir\n',
+    b'{"component": "tool@1", "inputs": {\n',
 ])
-def test_an_undecodable_byte_is_corrupt(store, tmp_path, bad_line):
+def test_a_bad_inner_line_is_corrupt_to_every_reader(store, tmp_path, bad_line):
     store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
     log = tmp_path / "store" / "runs" / "r1" / "records.log"
@@ -329,11 +332,13 @@ def test_an_undecodable_byte_is_corrupt(store, tmp_path, bad_line):
     store.record_execution("r1", record())
     store.close_run("r1", "COMPLETED")
     for call in (lambda: store.events("r1"), lambda: store.query_run("r1"),
+                 lambda: store.query_run("r1", instance_id="absent"),
                  lambda: store.export_run("r1", tmp_path / "export")):
         with pytest.raises(DataError) as err:
             call()
         assert err.value.code == "CORRUPT"
         assert "line 2" in err.value.message
+    assert not (tmp_path / "export").exists()
 
 
 def test_export_refuses_a_dest_that_is_a_file(store, tmp_path):
@@ -410,10 +415,7 @@ _events = st.builds(
 
 @given(_records.map(ExecutionRecord.to_json) | _events)
 def test_the_line_encoder_matches_json_dumps(doc):
-    line = _encode_line(doc)
-    assert line == json.dumps(doc, sort_keys=True)
-    # readers skip lines by this prefix, so no line may carry the other's
-    assert not line.encode().startswith(_OTHER_KIND_PREFIX[doc["kind"]])
+    assert _encode_line(doc) == json.dumps(doc, sort_keys=True)
 
 
 # -- the held append handle ---------------------------------------------------------
