@@ -27,11 +27,11 @@ from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol
 
 from .components import Behavior, FiringContext, FiringResult
 from .errors import EngineError, ToolgridError
-from .store import ExecutionRecord, RunStore
+from .store import ExecutionRecord, FiringLines, RunStore, compile_firing_lines, datum_json
 from .tools import ExecutionOutcome
 from .values import Datum, convert, scalar_datum
 from .workflow import (ComponentInstance, ComponentInterface, Diagnostic, Endpoint,
@@ -89,12 +89,14 @@ class InstancePlan:
     behavior: Optional[Behavior] = None
 
 
-@dataclass(frozen=True)
-class _Parcel:
-    """A datum in a queue plus where it came from (None when config-seeded)."""
+class _Parcel(NamedTuple):
+    """A datum in a queue plus where it came from (None when config-seeded),
+    with ``text`` and ``upstream`` the two as records.log JSON, encoded once."""
 
     datum: Datum
-    origin: Optional[tuple[str, int, str]]  # instance, execution_index, output
+    origin: Optional[dict]  # {instance, execution_index, output}
+    text: str
+    upstream: str
 
 
 @dataclass
@@ -104,6 +106,7 @@ class _Slot:
     plan: InstancePlan
     queues: dict[str, deque[_Parcel]]
     constants: dict[str, Optional[_Parcel]]
+    lines: FiringLines
     fired: int = 0
     busy: bool = False
 
@@ -172,7 +175,9 @@ class Engine:
             self._slots[plan.instance.instance_id] = _Slot(
                 plan,
                 {ep.name: deque() for ep in inputs if ep.handling == "queued"},
-                {ep.name: None for ep in inputs if ep.handling == "constant"})
+                {ep.name: None for ep in inputs if ep.handling == "constant"},
+                compile_firing_lines(plan.instance.instance_id,
+                                     str(plan.instance.component), plan.node))
         # (producer, output) -> [(consumer, input)], in connection order
         self._routes: dict[tuple[str, str], list[tuple[_Slot, Endpoint]]] = {}
         for conn in graph.connections:
@@ -220,8 +225,8 @@ class Engine:
             config = slot.plan.instance.config
             for ep in slot.plan.interface.inputs:
                 if ep.name in config:
-                    slot.put(ep.name, _Parcel(
-                        scalar_datum(config[ep.name], ep.datum_type), None))
+                    datum = scalar_datum(config[ep.name], ep.datum_type)
+                    slot.put(ep.name, _Parcel(datum, None, datum_json(datum), "null"))
 
     # -- readiness and dispatch -------------------------------------------------
 
@@ -249,8 +254,8 @@ class Engine:
         slot.busy = True
         index = slot.fired
         ticket = _Ticket(slot, index, consumed, self._clock.now())
-        self._emit("firing-started", instance=inst, execution_index=index,
-                   node=plan.node)
+        self._emit("firing-started", slot.lines.started, index,
+                   instance=inst, execution_index=index, node=plan.node)
         inputs = {name: parcel.datum for name, parcel in consumed.items()}
 
         if plan.behavior is not None:
@@ -293,44 +298,40 @@ class Engine:
 
     def _finish(self, ticket: _Ticket, result: FiringResult | None = None,
                 error: ToolgridError | None = None) -> None:
-        plan = ticket.slot.plan
+        slot, index, consumed = ticket.slot, ticket.execution_index, ticket.consumed
+        plan = slot.plan
         inst = plan.instance.instance_id
-        ticket.slot.busy = False
+        slot.busy = False
         self._seq += 1
 
-        upstream = {}
-        for name, parcel in ticket.consumed.items():
-            if parcel.origin is None:
-                upstream[name] = None
-            else:
-                producer, index, output = parcel.origin
-                upstream[name] = {"instance": producer, "execution_index": index,
-                                  "output": output}
         # a failed firing's exit status and logs travel on the error
         outcome = result if error is None else error
+        emitted = [] if error is not None else [
+            (name, datum_json(datum)) for name, datum in result.emissions]
         record = ExecutionRecord(
-            seq=self._seq, instance_id=inst,
-            execution_index=ticket.execution_index,
+            seq=self._seq, instance_id=inst, execution_index=index,
             component=str(plan.instance.component), node=plan.node,
             status="ok" if error is None else "failed",
             exit_status=getattr(outcome, "exit_status", None),
             started_at=ticket.started_at, finished_at=self._clock.now(),
-            inputs={name: parcel.datum.to_json()
-                    for name, parcel in ticket.consumed.items()},
+            inputs={name: parcel.datum.to_json() for name, parcel in consumed.items()},
             outputs={} if error is not None else {
                 name: datum.to_json() for name, datum in result.emissions},
             stdout=getattr(outcome, "stdout_ref", None),
             stderr=getattr(outcome, "stderr_ref", None),
             error=None if error is None else {"code": error.code,
                                               "message": error.message},
-            upstream=upstream)
+            upstream={name: parcel.origin for name, parcel in consumed.items()})
+        line = slot.lines.record(
+            record, {name: parcel.text for name, parcel in consumed.items()},
+            dict(emitted), {name: parcel.upstream for name, parcel in consumed.items()})
         try:
-            self.store.record_execution(self.run_id, record)
+            self.store.record_execution(self.run_id, record, line=line)
         except ToolgridError:
             pass  # run force-closed during cancel grace; completion still drains
 
-        self._emit("firing-finished", instance=inst,
-                   execution_index=ticket.execution_index, status=record.status)
+        self._emit("firing-finished", slot.lines.finished, index, record.status,
+                   instance=inst, execution_index=index, status=record.status)
 
         if error is not None:
             if self._state == RUNNING:
@@ -340,10 +341,13 @@ class Engine:
                            message=error.message)
                 self._state = FAILED
             return
-        for output, datum in result.emissions:
-            origin = (inst, ticket.execution_index, output)
+        for (output, datum), (_, text) in zip(result.emissions, emitted):
+            origin = {"instance": inst, "execution_index": index, "output": output}
+            source = slot.lines.upstream(index, output)
             for target, ep in self._routes.get((inst, output), ()):
-                target.put(ep.name, _Parcel(convert(datum, ep.datum_type), origin))
+                moved = convert(datum, ep.datum_type)
+                target.put(ep.name, _Parcel(
+                    moved, origin, text if moved is datum else datum_json(moved), source))
 
     def _check_stall(self) -> str:
         leftovers = [(inst, name) for inst, slot in self._slots.items()
@@ -418,10 +422,12 @@ class Engine:
 
     # -- events -------------------------------------------------------------------
 
-    def _emit(self, event: str, **fields) -> None:
+    def _emit(self, event: str, compiled: Callable | None = None, *args, **fields) -> None:
+        """Record an event; ``compiled(at, *args)``, when given, is its line."""
         at = self._clock.now()
+        line = None if compiled is None else compiled(at, *args)
         try:
-            self.store.append_event(self.run_id, at, event, **fields)
+            self.store.append_event(self.run_id, at, event, line=line, **fields)
         except ToolgridError:
             pass
         if self._on_event is not None:

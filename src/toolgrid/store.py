@@ -21,11 +21,12 @@ import re
 import threading
 import uuid
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, TextIO
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, TextIO
 
 from .errors import DataError
-from .values import Datum, datum_from_json
+from .values import Datum, DatumType, datum_from_json
 
 DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -83,7 +84,7 @@ class BlobStore:
                     yield entry.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     """One component firing: what went in, what came out, and from where.
 
@@ -158,6 +159,79 @@ def _blob_refs(record: ExecutionRecord) -> set[str]:
     return refs
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_SCALARS = {type(None): lambda _: "null", bool: lambda v: "true" if v else "false",
+            int: int.__repr__, float: float.__repr__, str: _encode_str}
+
+
+def _scalar(value) -> str:
+    """``_encode_line(value)``, without the encoder for scalars of an exact type."""
+    text = _SCALARS.get(type(value), _encode_line)(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def datum_json(datum: Datum) -> str:
+    """``_encode_line(datum.to_json())``, built from the datum's type."""
+    value = datum.value
+    if datum.type is DatumType.FILE:
+        return (f'{{"digest": {_scalar(value.digest)}, '
+                f'"filename": {_scalar(value.filename)}, "type": "file"}}')
+    return f'{{"type": "{datum.type.value}", "value": {_scalar(value)}}}'
+
+
+class FiringLines(NamedTuple):
+    """One instance's per-firing records.log lines: what varies -> JSON text."""
+
+    started: Callable[[int, int], str]  # (at, execution_index)
+    record: Callable[..., str]  # (record, inputs, outputs, upstream)
+    finished: Callable[[int, int, str], str]  # (at, execution_index, status)
+    upstream: Callable[[int, str], str]  # (execution_index, output)
+
+
+def compile_firing_lines(instance_id: str, component: str, node: str) -> FiringLines:
+    """Encode an instance's constants once; each firing fills in the rest.
+
+    Each function returns what ``_encode_line`` writes for the same doc.
+    ``record`` reads the per-firing fields of its ExecutionRecord and takes
+    inputs, outputs and upstream as endpoint name -> JSON text. ``at``,
+    ``execution_index``, ``seq`` and the timestamps are the engine's ints.
+    """
+    inst, comp, where = _encode_str(instance_id), _encode_str(component), _encode_str(node)
+
+    def obj(texts: Mapping[str, str]) -> str:
+        if len(texts) == 1:  # the common case, without the sort
+            [(name, text)] = texts.items()
+            return f"{{{_encode_str(name)}: {text}}}"
+        return "{" + ", ".join([f"{_encode_str(k)}: {texts[k]}" for k in sorted(texts)]) + "}"
+
+    def started(at: int, index: int) -> str:
+        return (f'{{"at": {at}, "event": "firing-started", "execution_index": {index}, '
+                f'"instance": {inst}, "kind": "event", "node": {where}}}')
+
+    def record(rec: ExecutionRecord, inputs: Mapping[str, str],
+               outputs: Mapping[str, str], upstream: Mapping[str, str]) -> str:
+        error = _encode_line(dict(rec.error)) if rec.error else "null"
+        return (f'{{"component": {comp}, "error": {error}, '
+                f'"execution_index": {rec.execution_index}, '
+                f'"exit_status": {_scalar(rec.exit_status)}, '
+                f'"finished_at": {rec.finished_at}, "inputs": {obj(inputs)}, '
+                f'"instance_id": {inst}, "kind": "execution", "node": {where}, '
+                f'"outputs": {obj(outputs)}, "seq": {rec.seq}, '
+                f'"started_at": {rec.started_at}, "status": {_scalar(rec.status)}, '
+                f'"stderr": {_scalar(rec.stderr)}, "stdout": {_scalar(rec.stdout)}, '
+                f'"upstream": {obj(upstream)}}}')
+
+    def finished(at: int, index: int, status: str) -> str:
+        return (f'{{"at": {at}, "event": "firing-finished", "execution_index": {index}, '
+                f'"instance": {inst}, "kind": "event", "status": {_scalar(status)}}}')
+
+    def upstream(index: int, output: str) -> str:
+        return (f'{{"execution_index": {index}, "instance": {inst}, '
+                f'"output": {_encode_str(output)}}}')
+
+    return FiringLines(started, record, finished, upstream)
+
+
 class RunStore:
     """Durable per-run execution history next to the blob store."""
 
@@ -229,8 +303,8 @@ class RunStore:
         if run_id not in self._logs and self.run_state(run_id) in TERMINAL_STATES:
             raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
 
-    def _append_line(self, run_id: str, doc: dict) -> None:
-        line = _encode_line(doc) + "\n"
+    def _append_line(self, run_id: str, line: str) -> None:
+        line += "\n"
         if run_id in self._logs:
             self._logs[run_id].write(line)
             return
@@ -244,25 +318,31 @@ class RunStore:
                 for doc in self._docs(run_id, "execution")}
         return self._seen_keys[run_id]
 
-    def record_execution(self, run_id: str, record: ExecutionRecord) -> None:
+    def record_execution(self, run_id: str, record: ExecutionRecord, *,
+                         line: str | None = None) -> None:
+        """Append ``record``; ``line``, when given, is its JSON text, pre-encoded."""
         with self._lock:
             self._check_open(run_id)
-            key = (record.instance_id, record.execution_index)
-            if key in self._keys(run_id):
+            keys, key = self._keys(run_id), (record.instance_id, record.execution_index)
+            if key in keys:
                 raise DataError("DUPLICATE_KEY",
                                 f"record for {key} already exists in run {run_id!r}")
-            dangling = sorted(d for d in _blob_refs(record) if not self.blobs.has(d))
+            refs = _blob_refs(record)
+            dangling = refs and sorted(d for d in refs if not self.blobs.has(d))
             if dangling:
                 raise DataError("DANGLING_REF",
                                 f"record references unstored blobs: {', '.join(dangling)}")
-            self._append_line(run_id, record.to_json())
-            self._keys(run_id).add(key)
+            self._append_line(run_id, _encode_line(record.to_json()) if line is None else line)
+            keys.add(key)
 
-    def append_event(self, run_id: str, at: int, event: str, **fields) -> None:
-        doc = {"kind": "event", "at": at, "event": event, **fields}
+    def append_event(self, run_id: str, at: int, event: str, *,
+                     line: str | None = None, **fields) -> None:
+        """Append an event; ``line``, when given, is its JSON text, pre-encoded."""
+        if line is None:
+            line = _encode_line({"kind": "event", "at": at, "event": event, **fields})
         with self._lock:
             self._check_open(run_id)
-            self._append_line(run_id, doc)
+            self._append_line(run_id, line)
 
     def _docs(self, run_id: str, kind: str) -> Iterator[dict]:
         """Parse each line of a run's records.log in turn; yield the ``kind`` ones."""

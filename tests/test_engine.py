@@ -373,3 +373,84 @@ def test_loop_state_is_per_run(node):
         optima.append(json.loads(driver[-1].outputs["optimum"]["value"]))
     assert optima[0] == optima[1] == {"evaluations": 5, "point": {"x": 0.0},
                                       "value": 0.0}
+
+
+def test_every_records_log_line_is_canonical_json(node, tmp_path):
+    # each line the engine writes must read back and re-encode to itself:
+    # json.dumps(doc, sort_keys=True) plus the newline
+    data = tmp_path / "data.txt"
+    data.write_text("tool chain input\n")
+    upper = write_tool(tmp_path, "upper.py", (
+        "text = (wd / doc['data']).read_text()\n"
+        "(wd / 'outputs' / 'up.txt').write_text(text.upper())\n"
+        "(wd / 'outputs.json').write_text(json.dumps(\n"
+        "    {'up': 'outputs/up.txt', 'n': len(text)}))\n"))
+    failing = write_tool(tmp_path, "fail.py", "raise SystemExit(3)\n")
+    slow = write_tool(tmp_path, "slow.py", "import time\ntime.sleep(0.5)\n")
+    awkward = '%s {"}" \\ é   \x01'
+    runs = {
+        "loop": ("COMPLETED", workflow("loop", [
+            instance("opt", "optimizer@1", {
+                "strategy": "grid", "tol": 1e-3, "max_evals": 20,
+                "variables": [{"name": "x", "lower": -1.0, "upper": 1.0,
+                               "initial_step": 0.1}]}),
+            instance("gate", "switch@1", {"condition": ">= -1.0"}),
+            instance("src", "input-provider@1", {"values": {"i": 5, "t": awkward}}),
+            instance("sink", "output-writer@1", {
+                "target": str(tmp_path / "loop"),
+                "inputs": {"best": "text", "k": "float", "t": "text"}})],
+            [edge("opt.x", "gate.value"), edge("gate.true", "opt.objective"),
+             edge("opt.optimum", "sink.best"), edge("src.i", "sink.k"),
+             edge("src.t", "sink.t")])),
+        "files": ("COMPLETED", workflow("files", [
+            instance("src", "input-provider@1", {"files": {"data": str(data)}}),
+            instance("calc", "script@1", script_config(
+                upper, {"data": "file"}, {"up": "file", "n": "integer"})),
+            instance("sink", "output-writer@1", {
+                "target": str(tmp_path / "files"),
+                "inputs": {"up": "file", "n": "integer"}})],
+            [edge("src.data", "calc.data"), edge("calc.up", "sink.up"),
+             edge("calc.n", "sink.n")])),
+        "failing": ("FAILED", workflow("failing", [
+            instance("src", "input-provider@1", {"values": {"v": 1.0}}),
+            instance("calc", "script@1", script_config(failing, {"x": "float"}, {}))],
+            [edge("src.v", "calc.x")])),
+        "stalled": ("STALLED", workflow("stalled", [
+            instance("src", "input-provider@1", {"values": {"v": 1.0, "w": 20.0}}),
+            instance("gate", "switch@1", {"condition": "< 10"}),
+            instance("join", "output-writer@1", {
+                "target": str(tmp_path / "join"),
+                "inputs": {"a": "float", "b": "float"}})],
+            [edge("src.v", "join.a"), edge("src.w", "gate.value"),
+             edge("gate.true", "join.b")])),
+    }
+    run_ids, seen = [], set()
+    for name, (state, text) in runs.items():
+        engine = node.start_run(text)
+        assert engine.wait(60) == state, name
+        run_ids.append(engine.run_id)
+    events = []
+    engine = node.start_run(workflow("cancelled", [
+        instance("src", "input-provider@1", {"values": {"v": 1.0}}),
+        instance("calc", "script@1", script_config(slow, {"x": "float"}, {}))],
+        [edge("src.v", "calc.x")]), on_event=events.append)
+    deadline = time.monotonic() + 20
+    while not any(e["event"] == "firing-started" and e["instance"] == "calc"
+                  for e in list(events)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    engine.cancel(grace=0.05)
+    assert engine.wait(30) == "CANCELLED"
+    run_ids.append(engine.run_id)
+
+    for run_id in run_ids:
+        path = node.store.root / "runs" / run_id / "records.log"
+        for line in path.read_text().splitlines(keepends=True):
+            doc = json.loads(line)
+            assert json.dumps(doc, sort_keys=True) + "\n" == line
+            seen.add(doc.get("event", doc["kind"]))
+    assert seen == {"run-started", "firing-started", "execution", "firing-finished",
+                    "run-failed", "stall", "run-cancelled", "run-finished"}
+    # an integer routed to a float input is recorded as the float it became
+    [sink] = node.store.query_run(run_ids[0], instance_id="sink")
+    assert sink.inputs["k"] == {"type": "float", "value": 5.0}
+    assert sink.inputs["t"] == {"type": "text", "value": awkward}

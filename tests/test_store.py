@@ -4,12 +4,12 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toolgrid.errors import DataError
 from toolgrid.store import (BlobStore, ExecutionRecord, RunStore, _encode_line,
-                            sha256_hex)
-from toolgrid.values import Datum
+                            compile_firing_lines, datum_json, sha256_hex)
+from toolgrid.values import INT64_MAX, INT64_MIN, Datum
 
 WORKFLOW_TEXT = '{"name": "demo", "components": [], "connections": []}'
 
@@ -416,6 +416,104 @@ _events = st.builds(
 @given(_records.map(ExecutionRecord.to_json) | _events)
 def test_the_line_encoder_matches_json_dumps(doc):
     assert _encode_line(doc) == json.dumps(doc, sort_keys=True)
+
+
+# -- lines compiled per instance ---------------------------------------------------
+
+# text that JSON must escape, plus what a template's own syntax uses
+_awkward = st.text(st.sampled_from('%{}"\\\x00\x1f\x7f\n\u00e9\u2028\U0001f600')
+                   | st.characters(), max_size=8)
+_datums = st.one_of(
+    st.builds(Datum.of_float, st.floats()
+              | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])),
+    st.builds(Datum.integer, st.integers(INT64_MIN, INT64_MAX)
+              | st.sampled_from([INT64_MIN, INT64_MAX])),
+    st.builds(Datum.boolean, st.booleans()),
+    st.builds(Datum.text, _awkward),
+    st.builds(Datum.file, st.text("0123456789abcdef", min_size=64, max_size=64),
+              _awkward.filter(lambda f: f and "/" not in f and f not in (".", ".."))))
+_origins = st.none() | st.tuples(_awkward, st.integers(1, INT64_MAX), _awkward)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_datums)
+@example(Datum.of_float(math.nan))
+@example(Datum.of_float(math.inf))
+@example(Datum.of_float(-math.inf))
+@example(Datum.of_float(-0.0))
+@example(Datum.of_float(1e300))
+@example(Datum.integer(INT64_MIN))
+@example(Datum.integer(INT64_MAX))
+@example(Datum.text('%s{"}\\\x00\u00e9'))
+def test_a_datum_is_encoded_as_the_generic_encoder_does(datum):
+    assert datum_json(datum) == json.dumps(datum.to_json(), sort_keys=True)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(inst=_awkward, component=_awkward, node=_awkward,
+       at=st.integers(0, 2 ** 62), index=st.integers(1, INT64_MAX), seq=st.integers(1),
+       inputs=st.dictionaries(_awkward, st.tuples(_datums, _origins), max_size=3),
+       outputs=st.dictionaries(_awkward, _datums, max_size=3),
+       failed=st.booleans(), exit_status=st.none() | st.integers(-255, 255),
+       stdout=st.none() | _awkward, stderr=st.none() | _awkward,
+       error=st.fixed_dictionaries({"code": _awkward, "message": _awkward}))
+def test_compiled_lines_match_the_generic_encoder(inst, component, node, at, index, seq,
+                                                  inputs, outputs, failed, exit_status,
+                                                  stdout, stderr, error):
+    lines = compile_firing_lines(inst, component, node)
+    status = "failed" if failed else "ok"
+    upstream, upstream_texts = {}, {}
+    for name, (_, origin) in inputs.items():
+        if origin is None:
+            upstream[name], upstream_texts[name] = None, "null"
+        else:
+            producer, produced, output = origin
+            upstream[name] = {"instance": producer, "execution_index": produced,
+                              "output": output}
+            upstream_texts[name] = compile_firing_lines(producer, "p@1", "n").upstream(
+                produced, output)
+    rec = ExecutionRecord(
+        seq=seq, instance_id=inst, execution_index=index, component=component,
+        node=node, status=status, exit_status=exit_status, started_at=at,
+        finished_at=at + 2, inputs={n: d.to_json() for n, (d, _) in inputs.items()},
+        outputs={} if failed else {n: d.to_json() for n, d in outputs.items()},
+        stdout=stdout, stderr=stderr, error=error if failed else None,
+        upstream=upstream)
+    line = lines.record(rec, {n: datum_json(d) for n, (d, _) in inputs.items()},
+                        {} if failed else {n: datum_json(d) for n, d in outputs.items()},
+                        upstream_texts)
+    assert line == json.dumps(rec.to_json(), sort_keys=True)
+    started = {"kind": "event", "at": at, "event": "firing-started", "instance": inst,
+               "execution_index": index, "node": node}
+    assert lines.started(at, index) == json.dumps(started, sort_keys=True)
+    finished = {"kind": "event", "at": at + 3, "event": "firing-finished",
+                "instance": inst, "execution_index": index, "status": status}
+    assert lines.finished(at + 3, index, status) == json.dumps(finished, sort_keys=True)
+
+
+def test_a_compiled_line_passes_every_check_and_is_written_as_given(store):
+    store.open_run("r1", WORKFLOW_TEXT)
+    lines = compile_firing_lines("a", "tool@1", "n1")
+    rec = record(seq=1)
+    store.append_event("r1", 999, "firing-started", line=lines.started(999, 1),
+                       instance="a", execution_index=1, node="n1")
+    store.record_execution("r1", rec, line=lines.record(rec, {}, {}, {}))
+    with pytest.raises(DataError) as err:
+        store.record_execution("r1", rec, line=lines.record(rec, {}, {}, {}))
+    assert err.value.code == "DUPLICATE_KEY"
+    ref = record(seq=2, idx=2, outputs={"f": Datum.file("9" * 64, "x.bin").to_json()})
+    with pytest.raises(DataError) as err:
+        store.record_execution("r1", ref, line="{}")
+    assert err.value.code == "DANGLING_REF"
+    store.close_run("r1", "COMPLETED")
+    for append in (lambda: store.append_event("r1", 1000, "late", line="{}"),
+                   lambda: store.record_execution("r1", record(seq=3, idx=3), line="{}")):
+        with pytest.raises(DataError) as err:
+            append()
+        assert err.value.code == "RUN_CLOSED"
+    log = (store.root / "runs" / "r1" / "records.log").read_text()
+    assert log == (lines.started(999, 1) + "\n"
+                   + json.dumps(rec.to_json(), sort_keys=True) + "\n")
 
 
 # -- the held append handle ---------------------------------------------------------
