@@ -213,8 +213,12 @@ def run(ctx: click.Context, workflow: Path, controller: str,
                 _await_remote_offers(node, text, overrides or None)
                 engine = node.start_run(text, overrides=overrides or None,
                                         on_event=show_event if watch else None)
-                _emit(ctx, {"run_id": engine.run_id}, f"run {engine.run_id}")
-                state = engine.wait()
+                try:
+                    _emit(ctx, {"run_id": engine.run_id}, f"run {engine.run_id}")
+                    state = engine.wait()
+                except KeyboardInterrupt:  # Ctrl-C ends the run CANCELLED
+                    engine.cancel()
+                    state = engine.wait()
                 _finish_run(ctx, engine.run_id, state,
                             [d.message for d in engine.stall_diagnostics],
                             engine.failure)

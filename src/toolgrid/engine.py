@@ -1,9 +1,9 @@
 """The workflow controller: readiness-driven scheduling over input queues.
 
-One engine instance owns one run. All queue and state mutation happens under
-a single lock; component executions (external tools, script subprocesses)
-run on a worker pool and re-enter the scheduler as completion events, so the
-scheduling core never blocks on a child process. Cheap built-ins fire inline.
+One engine instance owns one run. Its thread, ``run-<id>``, alone changes the
+run's queues, state and records; pool workers (tool and async built-in
+results) and ``cancel`` only post messages to its inbox, so scheduling takes
+no lock and never blocks on a child process. Cheap built-ins fire inline.
 
 Firing semantics: a component is fireable when every queued input holds at
 least one datum, every constant input has received a value, and no firing of
@@ -15,18 +15,22 @@ input-less bootstrap firing the same way.
 A run ends COMPLETED when nothing is in flight, nothing is fireable, and all
 queues are empty; leftover queued data with no possible progress is STALLED,
 with diagnostics naming each starved endpoint. The first failed firing turns
-the run FAILED and stops new dispatch while in-flight work drains.
+the run FAILED and stops new dispatch while in-flight work drains. Any other
+error on the run thread, a store failure included, ends it FAILED at once.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 import uuid
 from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from queue import Empty, SimpleQueue
 from typing import Callable, Mapping, NamedTuple, Optional, Protocol
 
 from .components import Behavior, FiringContext, FiringResult
@@ -160,12 +164,12 @@ class Engine:
         self._clock = clock or MsClock()
         self._on_event = on_event
 
-        self._lock = threading.Lock()
         self._state = RUNNING
         self._seq = 0
-        self._closed = False
         self._done = threading.Event()
-        self._pending_events: list[dict] = []
+        # callables the run thread runs in order; only it changes the run
+        self._inbox: SimpleQueue[Callable[[], None]] = SimpleQueue()
+        self._deadline: Optional[float] = None  # monotonic end of a cancel's grace
         self.stall_diagnostics: list[Diagnostic] = []
         self.failure: Optional[dict] = None
 
@@ -189,7 +193,7 @@ class Engine:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Open records, run setup checks, seed config values, fire sources."""
+        """Check placement and open the records here, then start the run thread."""
         plans = [slot.plan for slot in self._slots.values()]
         for plan in plans:
             if not self._dispatch.reachable(plan.node):
@@ -202,26 +206,39 @@ class Engine:
                             workflow_name=self.graph.name,
                             controller_node=self._controller,
                             placement=placement, created_at=self._clock.now())
-        with self._lock:
+        threading.Thread(target=self._main, name=f"run-{self.run_id}").start()
+
+    def _main(self) -> None:
+        """The run thread: set up, seed, fire and handle messages, then close."""
+        try:
             self._emit("run-started", workflow=self.graph.name)
-            try:
-                for slot in self._slots.values():
-                    if slot.plan.behavior is not None:
-                        slot.plan.behavior.setup()
-            except ToolgridError as exc:
-                self.failure = {"code": exc.code, "message": exc.message}
-                self._emit("run-failed", code=exc.code, message=exc.message)
-                self._state = FAILED
-                self._maybe_close()
-                self._flush_events()
-                return
             self._seed()
             self._pump()
-            self._maybe_close()
-        self._flush_events()
+            while not self._over():
+                try:
+                    handle = self._inbox.get(timeout=None if self._deadline is None
+                                             else max(self._deadline - time.monotonic(), 0))
+                except Empty:
+                    break  # the grace is over: abandon in-flight firings
+                handle()
+                self._pump()
+        except Exception as exc:
+            if not isinstance(exc, ToolgridError):
+                logging.getLogger(__name__).exception("run %s failed", self.run_id)
+                exc = ToolgridError("INTERNAL", repr(exc))
+            self.failure = {"code": exc.code, "message": exc.message}
+            self._state = FAILED
+            self._emit("run-failed", code=exc.code, message=exc.message)
+        finally:
+            try:
+                self._close()
+            finally:
+                self._done.set()
 
     def _seed(self) -> None:
         for slot in self._slots.values():
+            if slot.plan.behavior is not None:
+                slot.plan.behavior.setup()
             config = slot.plan.instance.config
             for ep in slot.plan.interface.inputs:
                 if ep.name in config:
@@ -232,7 +249,7 @@ class Engine:
 
     def _pump(self) -> None:
         # Iterative so long inline loops (convergers, optimizers) cannot
-        # recurse; deferred completions re-enter through _run_async.
+        # recurse; a round ends early when a completion or cancel waits.
         while self._state == RUNNING:
             progressed = False
             for slot in self._slots.values():
@@ -241,7 +258,7 @@ class Engine:
                     progressed = True
                     if self._state != RUNNING:
                         break
-            if not progressed:
+            if not progressed or not self._inbox.empty():
                 break
 
     def _begin_firing(self, slot: _Slot) -> None:
@@ -288,11 +305,7 @@ class Engine:
             result, error = None, exc
         except Exception as exc:  # defensive: never lose a completion
             result, error = None, ToolgridError("INTERNAL", repr(exc))
-        with self._lock:
-            self._finish(ticket, result=result, error=error)
-            self._pump()
-            self._maybe_close()
-        self._flush_events()
+        self._inbox.put(partial(self._finish, ticket, result, error))
 
     # -- completion, routing, termination ---------------------------------------
 
@@ -325,11 +338,7 @@ class Engine:
         line = slot.lines.record(
             record, {name: parcel.text for name, parcel in consumed.items()},
             dict(emitted), {name: parcel.upstream for name, parcel in consumed.items()})
-        try:
-            self.store.record_execution(self.run_id, record, line=line)
-        except ToolgridError:
-            pass  # run force-closed during cancel grace; completion still drains
-
+        self.store.record_execution(self.run_id, record, line=line)
         self._emit("firing-finished", slot.lines.finished, index, record.status,
                    instance=inst, execution_index=index, status=record.status)
 
@@ -375,50 +384,45 @@ class Engine:
                     f"data left on {inst}.{name} with no possible firing"))
         return STALLED
 
-    def _maybe_close(self) -> None:
-        if self._closed or any(slot.busy for slot in self._slots.values()):
-            return
+    def _over(self) -> bool:
+        """Whether nothing is in flight and nothing can fire; settles the end state."""
+        if any(slot.busy for slot in self._slots.values()):
+            return False
         if self._state == RUNNING:
             if any(slot.ready() for slot in self._slots.values()):
-                return
+                return False
             self._state = self._check_stall()
-        self._close()
+        return True
 
     def _close(self) -> None:
-        self._closed = True
-        self._emit("run-finished", state=self._state)
+        at = self._clock.now()
         try:
-            self.store.close_run(self.run_id, self._state,
-                                 closed_at=self._clock.now())
-        except ToolgridError:
-            pass  # already force-closed by cancel
-        self._done.set()
+            self.store.append_event(self.run_id, at, "run-finished", state=self._state)
+        finally:
+            self.store.close_run(self.run_id, self._state, closed_at=self._clock.now())
+        # watchers hear of the end once run.json says so
+        self._notify(at, "run-finished", state=self._state)
 
     # -- public surface ----------------------------------------------------------
 
     def run_state(self) -> str:
-        with self._lock:
-            return self._state
+        return self._state
 
     def wait(self, timeout: float | None = None) -> str:
         self._done.wait(timeout)
-        return self.run_state()
+        return self._state
 
     def cancel(self, grace: float = 5.0) -> None:
-        with self._lock:
-            if self._state != RUNNING:
-                raise EngineError("ALREADY_TERMINAL",
-                                  f"run is already {self._state}")
+        """Ask the run to end CANCELLED; firings in flight get ``grace`` seconds."""
+        if self._done.is_set():
+            raise EngineError("ALREADY_TERMINAL", f"run is already {self._state}")
+        self._inbox.put(partial(self._cancel, time.monotonic() + grace))
+
+    def _cancel(self, deadline: float) -> None:
+        self._deadline = min(deadline, self._deadline or deadline)
+        if self._state == RUNNING:
             self._state = CANCELLED
             self._emit("run-cancelled")
-            self._maybe_close()
-        self._flush_events()
-        if not self._done.wait(grace):
-            # Abandon stragglers: close records now; late completions no-op.
-            with self._lock:
-                if not self._closed:
-                    self._close()
-            self._flush_events()
 
     # -- events -------------------------------------------------------------------
 
@@ -426,25 +430,12 @@ class Engine:
         """Record an event; ``compiled(at, *args)``, when given, is its line."""
         at = self._clock.now()
         line = None if compiled is None else compiled(at, *args)
-        try:
-            self.store.append_event(self.run_id, at, event, line=line, **fields)
-        except ToolgridError:
-            pass
-        if self._on_event is not None:
-            self._pending_events.append(
-                {"run_id": self.run_id, "at": at, "event": event, **fields})
+        self.store.append_event(self.run_id, at, event, line=line, **fields)
+        self._notify(at, event, **fields)
 
-    def _flush_events(self) -> None:
-        if self._on_event is None:
-            return
-        while True:
-            with self._lock:
-                if not self._pending_events:
-                    return
-                batch = self._pending_events[:]
-                self._pending_events.clear()
-            for doc in batch:
-                try:
-                    self._on_event(doc)
-                except Exception:
-                    pass  # a dead watcher must not hurt the run
+    def _notify(self, at: int, event: str, **fields) -> None:
+        if self._on_event is not None:
+            try:
+                self._on_event({"run_id": self.run_id, "at": at, "event": event, **fields})
+            except Exception:
+                pass  # a dead watcher must not hurt the run

@@ -23,6 +23,7 @@ import socket
 import threading
 import time
 import uuid
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -575,6 +576,7 @@ class Node:
         self._by_peer: dict[str, PeerSession] = {}
         self._announce_seq = 0
         self._clock = MsClock()
+        self._runs: weakref.WeakSet[Engine] = weakref.WeakSet()  # held by their threads
         self._pool = ThreadPoolExecutor(max_workers=16,
                                         thread_name_prefix=f"node-{self.node_id[:6]}")
         self._listener: Optional[socket.socket] = None
@@ -806,6 +808,13 @@ class Node:
         return frame.type == wire.PONG
 
     def stop(self) -> None:
+        with self._lock:
+            runs = list(self._runs)
+        for engine in runs:  # before any session or worker goes away
+            try:
+                engine.cancel()
+            except EngineError:
+                pass  # it has ended meanwhile
         if self._listener is not None:
             close_listener(self._listener)
         if self.uplink is not None:
@@ -1118,7 +1127,7 @@ class Node:
                   overrides: Mapping[str, str] | None = None,
                   run_id: str | None = None,
                   on_event: Callable[[dict], None] | None = None) -> Engine:
-        """Parse, validate, place, and launch; raises before any record exists."""
+        """Parse, validate, place, and open the records; the run goes on in its thread."""
         graph = parse_workflow(workflow_text)
         diagnostics = self.validate(graph)
         errors = [d for d in diagnostics if d.severity == "error"]
@@ -1145,6 +1154,8 @@ class Node:
                         controller_node=self.node_id, work_root=self.work_dir,
                         clock=self._clock, on_event=on_event)
         engine.start()
+        with self._lock:
+            self._runs.add(engine)
         return engine
 
     # -- engine dispatch (ToolDispatch protocol) ---------------------------------------
@@ -1181,7 +1192,7 @@ class Node:
         request_id = body["request_id"]
 
         def forward(run_event: dict) -> None:
-            # the engine's threads call this; once the submitting client
+            # the run's thread calls this; once the submitting client
             # disconnects the sends fail and the run carries on regardless
             session.send(Frame(wire.RUN_EVENT, {
                 "request_id": request_id, "kind": "event", "event_doc": run_event}))

@@ -16,6 +16,7 @@ before any payload is buffered. Blob and log payloads travel as 64 KiB chunks.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -124,18 +125,11 @@ def _parse_payload(frame_type: int, payload: bytes, strict: bool) -> Frame:
 
 def decode_frame(data: bytes, strict: bool = True) -> Frame:
     """Decode one complete frame from ``data``; data must be exactly one frame."""
-    if len(data) < 5:
-        raise FrameError("TRUNCATED", f"{len(data)} bytes is shorter than a header")
-    length, frame_type = struct.unpack(">IB", data[:5])
-    if length > MAX_FRAME:
-        raise FrameError("FRAME_TOO_LARGE",
-                         f"declared length {length} exceeds the {MAX_FRAME} cap")
-    if length < 1:
-        raise FrameError("TRUNCATED", "declared length misses the type byte")
-    if len(data) != 4 + length:
-        raise FrameError("TRUNCATED",
-                         f"expected {4 + length} bytes, got {len(data)}")
-    return _parse_payload(frame_type, data[5:], strict)
+    stream = io.BytesIO(data)
+    frame = FrameReader(stream.read, strict).next_frame()
+    if frame is None or stream.tell() != len(data):
+        raise FrameError("TRUNCATED", f"{len(data)} bytes are not exactly one frame")
+    return frame
 
 
 class FrameReader:

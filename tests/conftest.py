@@ -1,8 +1,27 @@
+import threading
+import time
+
 import pytest
 
 from toolgrid.config import NodeConfig
 from toolgrid.node import Node, link_nodes
 from toolgrid.uplink import RelayServer
+
+
+@pytest.fixture(autouse=True)
+def runs_end():
+    """Fail a test that leaves a run thread alive once its nodes have stopped.
+
+    Autouse fixtures set up first, so this teardown runs after make_node's.
+    A stopped node cancels its runs with a 5 s grace; 10 s bounds the join.
+    """
+    yield
+    deadline = time.monotonic() + 10
+    runs = [t for t in threading.enumerate() if t.name.startswith("run-")]
+    for thread in runs:
+        thread.join(max(deadline - time.monotonic(), 0))
+    alive = [thread.name for thread in runs if thread.is_alive()]
+    assert not alive, f"runs still live after the test: {alive}"
 
 
 @pytest.fixture

@@ -73,3 +73,16 @@ def logged(target: Path, endpoint: str) -> list:
     """Values received on one writer endpoint, in arrival order."""
     return [entry["value"] for entry in values_log(target)
             if entry["endpoint"] == endpoint]
+
+
+def grid_loop(name: str, evals: int) -> str:
+    """An all-built-in optimizer/switch loop that fires 2 * ``evals`` + 1 times."""
+    return workflow(
+        name,
+        [instance("opt", "optimizer@1",
+                  {"strategy": "grid",
+                   "variables": [{"name": "x", "lower": 0.0,
+                                  "upper": float(evals - 1), "initial_step": 1.0}],
+                   "tol": 1e-3, "max_evals": evals}),
+         instance("gate", "switch@1", {"condition": ">= -1.0"})],
+        [edge("opt.x", "gate.value"), edge("gate.true", "opt.objective")])

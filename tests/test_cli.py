@@ -1,17 +1,23 @@
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import toolgrid
 from toolgrid.cli import main
 from toolgrid.config import NodeConfig, load_config, save_config
 from toolgrid.node import Node
 from toolgrid.uplink import RelayServer
 
-from helpers import (ADD_BODY, edge, instance, logged, script_config,
+from helpers import (ADD_BODY, edge, grid_loop, instance, logged, script_config,
                      workflow, write_tool)
 
 runner = CliRunner()
@@ -423,3 +429,29 @@ def test_run_against_serving_node(cfg, tmp_path):
         assert len(node.store.list_runs()) == 1
     finally:
         node.stop()
+
+
+def test_ctrl_c_cancels_a_local_run(cfg, tmp_path):
+    path = tmp_path / "long.workflow.json"
+    path.write_text(grid_loop("long", 100_000))
+    src = Path(toolgrid.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toolgrid.cli", "--config-dir", str(cfg), "run", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("run "), line
+        run_id = line.split()[1]
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1, err
+    assert f"run {run_id} ended CANCELLED" in err
+    shown = invoke(cfg, "data", "show", run_id, json_out=True)
+    assert json.loads(shown.stdout)["meta"]["state"] == "CANCELLED"
+    exported = invoke(cfg, "data", "export", run_id, str(tmp_path / "export"))
+    assert exported.exit_code == 0, exported.output

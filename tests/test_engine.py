@@ -1,16 +1,19 @@
+import errno
 import json
 import time
 
 import pytest
 
-from toolgrid.errors import EngineError
+from toolgrid.errors import DataError, EngineError
 from toolgrid.store import sha256_hex
 
 from helpers import (
     BABYLONIAN_BODY,
     DOUBLE_BODY,
+    IDENTITY_BODY,
     PRELUDE,
     edge,
+    grid_loop,
     instance,
     logged,
     script_config,
@@ -454,3 +457,89 @@ def test_every_records_log_line_is_canonical_json(node, tmp_path):
     [sink] = node.store.query_run(run_ids[0], instance_id="sink")
     assert sink.inputs["k"] == {"type": "float", "value": 5.0}
     assert sink.inputs["t"] == {"type": "text", "value": awkward}
+
+
+# -- every run ends: stop, store failures, long inline loops, cancel --------------
+
+
+def wait_for_firing(events, inst, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not any(e["event"] == "firing-started" and e.get("instance") == inst
+                  for e in list(events)):
+        assert time.monotonic() < deadline, f"{inst} never fired"
+        time.sleep(0.01)
+
+
+def test_stopping_the_node_cancels_a_live_run(node, tmp_path):
+    # src -> a -> b, each a one-second tool; the node stops while a runs
+    slow = write_tool(tmp_path, "slow.py", "import time\ntime.sleep(1)\n" + IDENTITY_BODY)
+    text = workflow(
+        "stopped",
+        [instance("src", "input-provider@1", {"values": {"v": 1.0}}),
+         instance("a", "script@1", script_config(slow, {"x": "float"}, {"out": "float"})),
+         instance("b", "script@1", script_config(slow, {"x": "float"}, {"out": "float"}))],
+        [edge("src.v", "a.x"), edge("a.out", "b.x")])
+    events = []
+    engine = node.start_run(text, on_event=events.append)
+    wait_for_firing(events, "a")
+    node.stop()
+    assert engine.wait(10) == "CANCELLED"
+    assert node.store.run_state(engine.run_id) == "CANCELLED"
+    # a finished within the grace; b never started
+    records = node.store.query_run(engine.run_id)
+    assert [(r.instance_id, r.status) for r in records] == [("src", "ok"), ("a", "ok")]
+    manifest = node.store.export_run(engine.run_id, tmp_path / "export")
+    assert manifest["state"] == "CANCELLED"
+
+
+@pytest.mark.parametrize("fault, code", [
+    (OSError(errno.ENOSPC, "No space left on device"), "INTERNAL"),
+    (DataError("DANGLING_REF", "record references unstored blobs"), "DANGLING_REF"),
+], ids=["oserror", "store-error"])
+def test_a_store_failure_on_a_tool_record_fails_the_run(node, tmp_path, monkeypatch,
+                                                        fault, code):
+    double = write_tool(tmp_path, "double.py", DOUBLE_BODY)
+    text = workflow(
+        "unrecorded",
+        [instance("src", "input-provider@1", {"values": {"v": 2}}),
+         instance("calc", "script@1",
+                  script_config(double, {"x": "integer"}, {"out": "integer"})),
+         instance("sink", "output-writer@1",
+                  {"target": str(tmp_path / "out"), "inputs": {"r": "integer"}})],
+        [edge("src.v", "calc.x"), edge("calc.out", "sink.r")])
+    record_execution = node.store.record_execution
+
+    def failing(run_id, record, **kwargs):
+        if record.instance_id == "calc":
+            raise fault
+        record_execution(run_id, record, **kwargs)
+
+    monkeypatch.setattr(node.store, "record_execution", failing)
+    engine = node.start_run(text)
+    assert engine.wait(10) == "FAILED"
+    assert engine.failure["code"] == code
+    assert node.store.run_state(engine.run_id) == "FAILED"
+    assert [r.instance_id for r in node.store.query_run(engine.run_id)] == ["src"]
+    events = node.store.events(engine.run_id)
+    assert [e["event"] for e in events[-2:]] == ["run-failed", "run-finished"]
+    assert events[-2]["code"] == code
+    node.store.export_run(engine.run_id, tmp_path / "export")
+
+
+def test_start_run_returns_before_a_long_inline_loop_ends(node, tmp_path):
+    t0 = time.monotonic()
+    engine = node.start_run(grid_loop("long", 100_000))
+    assert engine.run_state() == "RUNNING", time.monotonic() - t0
+    t1 = time.monotonic()
+    engine.cancel(grace=1.0)
+    assert engine.wait(1.0) == "CANCELLED", time.monotonic() - t1
+    assert node.store.run_state(engine.run_id) == "CANCELLED"
+    node.store.export_run(engine.run_id, tmp_path / "export")
+
+
+def test_cancel_on_a_finished_run_is_already_terminal(node):
+    engine = node.start_run(grid_loop("short", 3))
+    assert engine.wait(60) == "COMPLETED"
+    with pytest.raises(EngineError) as err:
+        engine.cancel()
+    assert err.value.code == "ALREADY_TERMINAL"
