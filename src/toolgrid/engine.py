@@ -35,9 +35,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Protocol
 
 from .components import Behavior, FiringContext, FiringResult
 from .errors import EngineError, ToolgridError
-from .store import ExecutionRecord, FiringLines, RunStore, compile_firing_lines, datum_json
+from .store import FiringLines, RunStore, compile_firing_lines, datum_json
 from .tools import ExecutionOutcome
-from .values import Datum, convert, scalar_datum
+from .values import Datum, FileRef, convert, scalar_datum
 from .workflow import (ComponentInstance, ComponentInterface, Diagnostic, Endpoint,
                        WorkflowGraph, serialize_workflow)
 
@@ -94,11 +94,11 @@ class InstancePlan:
 
 
 class _Parcel(NamedTuple):
-    """A datum in a queue plus where it came from (None when config-seeded),
-    with ``text`` and ``upstream`` the two as records.log JSON, encoded once."""
+    """A datum in a queue, with its records.log JSON encoded once: ``text`` is
+    the datum, ``upstream`` the {instance, execution_index, output} that
+    produced it, or ``null`` when config-seeded."""
 
     datum: Datum
-    origin: Optional[dict]  # {instance, execution_index, output}
     text: str
     upstream: str
 
@@ -136,12 +136,8 @@ class _Slot:
             self.constants[name] = parcel
 
 
-@dataclass
-class _Ticket:
-    slot: _Slot
-    execution_index: int
-    consumed: dict[str, _Parcel]
-    started_at: int
+# a firing in flight: (slot, execution_index, consumed parcels, started_at)
+_Ticket = tuple[_Slot, int, dict[str, _Parcel], int]
 
 
 def new_run_id() -> str:
@@ -243,7 +239,7 @@ class Engine:
             for ep in slot.plan.interface.inputs:
                 if ep.name in config:
                     datum = scalar_datum(config[ep.name], ep.datum_type)
-                    slot.put(ep.name, _Parcel(datum, None, datum_json(datum), "null"))
+                    slot.put(ep.name, _Parcel(datum, datum_json(datum), "null"))
 
     # -- readiness and dispatch -------------------------------------------------
 
@@ -270,9 +266,14 @@ class Engine:
         slot.fired += 1
         slot.busy = True
         index = slot.fired
-        ticket = _Ticket(slot, index, consumed, self._clock.now())
-        self._emit("firing-started", slot.lines.started, index,
-                   instance=inst, execution_index=index, node=plan.node)
+        ticket = (slot, index, consumed, self._clock.now())
+        at = self._clock.now()
+        # instance= is not written (the line is); it names the firing to tracers
+        self.store.append_event(self.run_id, at, "firing-started",
+                                line=slot.lines.started(at, index), instance=inst)
+        if self._on_event is not None:
+            self._notify(at, "firing-started", instance=inst, execution_index=index,
+                         node=plan.node)
         inputs = {name: parcel.datum for name, parcel in consumed.items()}
 
         if plan.behavior is not None:
@@ -311,36 +312,36 @@ class Engine:
 
     def _finish(self, ticket: _Ticket, result: FiringResult | None = None,
                 error: ToolgridError | None = None) -> None:
-        slot, index, consumed = ticket.slot, ticket.execution_index, ticket.consumed
-        plan = slot.plan
-        inst = plan.instance.instance_id
+        slot, index, consumed, started_at = ticket
+        inst = slot.plan.instance.instance_id
         slot.busy = False
         self._seq += 1
 
         # a failed firing's exit status and logs travel on the error
         outcome = result if error is None else error
-        emitted = [] if error is not None else [
-            (name, datum_json(datum)) for name, datum in result.emissions]
-        record = ExecutionRecord(
-            seq=self._seq, instance_id=inst, execution_index=index,
-            component=str(plan.instance.component), node=plan.node,
-            status="ok" if error is None else "failed",
-            exit_status=getattr(outcome, "exit_status", None),
-            started_at=ticket.started_at, finished_at=self._clock.now(),
-            inputs={name: parcel.datum.to_json() for name, parcel in consumed.items()},
-            outputs={} if error is not None else {
-                name: datum.to_json() for name, datum in result.emissions},
-            stdout=getattr(outcome, "stdout_ref", None),
-            stderr=getattr(outcome, "stderr_ref", None),
-            error=None if error is None else {"code": error.code,
-                                              "message": error.message},
-            upstream={name: parcel.origin for name, parcel in consumed.items()})
+        stdout = getattr(outcome, "stdout_ref", None)
+        stderr = getattr(outcome, "stderr_ref", None)
+        emissions = [] if error is not None else result.emissions
+        emitted = [(name, datum_json(datum)) for name, datum in emissions]
+        # the blobs the line names: stdout, stderr, file inputs and outputs
+        refs = {ref for ref in (stdout, stderr) if ref}
+        for datum in [p.datum for p in consumed.values()] + [d for _, d in emissions]:
+            if isinstance(datum.value, FileRef):
+                refs.add(datum.value.digest)
+        status = "ok" if error is None else "failed"
         line = slot.lines.record(
-            record, {name: parcel.text for name, parcel in consumed.items()},
+            self._seq, index, status, getattr(outcome, "exit_status", None),
+            started_at, self._clock.now(),
+            None if error is None else {"code": error.code, "message": error.message},
+            stdout, stderr, {name: parcel.text for name, parcel in consumed.items()},
             dict(emitted), {name: parcel.upstream for name, parcel in consumed.items()})
-        self.store.record_execution(self.run_id, record, line=line)
-        self._emit("firing-finished", slot.lines.finished, index, record.status,
-                   instance=inst, execution_index=index, status=record.status)
+        self.store.record_execution(self.run_id, (inst, index), refs, line)
+        at = self._clock.now()
+        self.store.append_event(self.run_id, at, "firing-finished",
+                                line=slot.lines.finished(at, index, status))
+        if self._on_event is not None:
+            self._notify(at, "firing-finished", instance=inst, execution_index=index,
+                         status=status)
 
         if error is not None:
             if self._state == RUNNING:
@@ -350,13 +351,12 @@ class Engine:
                            message=error.message)
                 self._state = FAILED
             return
-        for (output, datum), (_, text) in zip(result.emissions, emitted):
-            origin = {"instance": inst, "execution_index": index, "output": output}
+        for (output, datum), (_, text) in zip(emissions, emitted):
             source = slot.lines.upstream(index, output)
             for target, ep in self._routes.get((inst, output), ()):
                 moved = convert(datum, ep.datum_type)
                 target.put(ep.name, _Parcel(
-                    moved, origin, text if moved is datum else datum_json(moved), source))
+                    moved, text if moved is datum else datum_json(moved), source))
 
     def _check_stall(self) -> str:
         leftovers = [(inst, name) for inst, slot in self._slots.items()
@@ -426,11 +426,10 @@ class Engine:
 
     # -- events -------------------------------------------------------------------
 
-    def _emit(self, event: str, compiled: Callable | None = None, *args, **fields) -> None:
-        """Record an event; ``compiled(at, *args)``, when given, is its line."""
+    def _emit(self, event: str, **fields) -> None:
+        """Record a run-level event and tell the watcher."""
         at = self._clock.now()
-        line = None if compiled is None else compiled(at, *args)
-        self.store.append_event(self.run_id, at, event, line=line, **fields)
+        self.store.append_event(self.run_id, at, event, **fields)
         self._notify(at, event, **fields)
 
     def _notify(self, at: int, event: str, **fields) -> None:

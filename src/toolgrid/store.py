@@ -23,10 +23,10 @@ import uuid
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, TextIO
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Optional, TextIO
 
 from .errors import DataError
-from .values import Datum, DatumType, datum_from_json
+from .values import Datum, DatumType
 
 DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -140,12 +140,6 @@ class ExecutionRecord:
             stdout=doc.get("stdout"), stderr=doc.get("stderr"), error=doc.get("error"),
             upstream=doc.get("upstream") or {})
 
-    def input_data(self) -> dict[str, Datum]:
-        return {k: datum_from_json(v) for k, v in self.inputs.items()}
-
-    def output_data(self) -> dict[str, Datum]:
-        return {k: datum_from_json(v) for k, v in self.outputs.items()}
-
 
 def _blob_refs(record: ExecutionRecord) -> set[str]:
     refs: set[str] = set()
@@ -183,7 +177,9 @@ class FiringLines(NamedTuple):
     """One instance's per-firing records.log lines: what varies -> JSON text."""
 
     started: Callable[[int, int], str]  # (at, execution_index)
-    record: Callable[..., str]  # (record, inputs, outputs, upstream)
+    # (seq, execution_index, status, exit_status, started_at, finished_at,
+    #  error, stdout, stderr, inputs, outputs, upstream)
+    record: Callable[..., str]
     finished: Callable[[int, int, str], str]  # (at, execution_index, status)
     upstream: Callable[[int, str], str]  # (execution_index, output)
 
@@ -191,9 +187,10 @@ class FiringLines(NamedTuple):
 def compile_firing_lines(instance_id: str, component: str, node: str) -> FiringLines:
     """Encode an instance's constants once; each firing fills in the rest.
 
-    Each function returns what ``_encode_line`` writes for the same doc.
-    ``record`` reads the per-firing fields of its ExecutionRecord and takes
-    inputs, outputs and upstream as endpoint name -> JSON text. ``at``,
+    Each function returns what ``_encode_line`` writes for the same doc, so
+    ``record`` returns the line of the ExecutionRecord with these fields; no
+    record is built. It takes inputs, outputs and upstream as endpoint name
+    -> JSON text, and ``error`` as a {code, message} mapping or None. ``at``,
     ``execution_index``, ``seq`` and the timestamps are the engine's ints.
     """
     inst, comp, where = _encode_str(instance_id), _encode_str(component), _encode_str(node)
@@ -208,17 +205,18 @@ def compile_firing_lines(instance_id: str, component: str, node: str) -> FiringL
         return (f'{{"at": {at}, "event": "firing-started", "execution_index": {index}, '
                 f'"instance": {inst}, "kind": "event", "node": {where}}}')
 
-    def record(rec: ExecutionRecord, inputs: Mapping[str, str],
+    def record(seq: int, index: int, status: str, exit_status: Optional[int],
+               started_at: int, finished_at: int, error: Optional[Mapping[str, str]],
+               stdout: Optional[str], stderr: Optional[str], inputs: Mapping[str, str],
                outputs: Mapping[str, str], upstream: Mapping[str, str]) -> str:
-        error = _encode_line(dict(rec.error)) if rec.error else "null"
+        error = _encode_line(dict(error)) if error else "null"
         return (f'{{"component": {comp}, "error": {error}, '
-                f'"execution_index": {rec.execution_index}, '
-                f'"exit_status": {_scalar(rec.exit_status)}, '
-                f'"finished_at": {rec.finished_at}, "inputs": {obj(inputs)}, '
+                f'"execution_index": {index}, "exit_status": {_scalar(exit_status)}, '
+                f'"finished_at": {finished_at}, "inputs": {obj(inputs)}, '
                 f'"instance_id": {inst}, "kind": "execution", "node": {where}, '
-                f'"outputs": {obj(outputs)}, "seq": {rec.seq}, '
-                f'"started_at": {rec.started_at}, "status": {_scalar(rec.status)}, '
-                f'"stderr": {_scalar(rec.stderr)}, "stdout": {_scalar(rec.stdout)}, '
+                f'"outputs": {obj(outputs)}, "seq": {seq}, '
+                f'"started_at": {started_at}, "status": {_scalar(status)}, '
+                f'"stderr": {_scalar(stderr)}, "stdout": {_scalar(stdout)}, '
                 f'"upstream": {obj(upstream)}}}')
 
     def finished(at: int, index: int, status: str) -> str:
@@ -318,21 +316,24 @@ class RunStore:
                 for doc in self._docs(run_id, "execution")}
         return self._seen_keys[run_id]
 
-    def record_execution(self, run_id: str, record: ExecutionRecord, *,
-                         line: str | None = None) -> None:
-        """Append ``record``; ``line``, when given, is its JSON text, pre-encoded."""
+    def record_execution(self, run_id: str, key: tuple[str, int],
+                         refs: Collection[str], line: str) -> None:
+        """Append one execution record as its JSON text ``line``.
+
+        ``key`` is the record's (instance_id, execution_index) and ``refs``
+        the blob digests it names; the store checks both, not the line.
+        """
         with self._lock:
             self._check_open(run_id)
-            keys, key = self._keys(run_id), (record.instance_id, record.execution_index)
+            keys = self._keys(run_id)
             if key in keys:
                 raise DataError("DUPLICATE_KEY",
                                 f"record for {key} already exists in run {run_id!r}")
-            refs = _blob_refs(record)
             dangling = refs and sorted(d for d in refs if not self.blobs.has(d))
             if dangling:
                 raise DataError("DANGLING_REF",
                                 f"record references unstored blobs: {', '.join(dangling)}")
-            self._append_line(run_id, _encode_line(record.to_json()) if line is None else line)
+            self._append_line(run_id, line)
             keys.add(key)
 
     def append_event(self, run_id: str, at: int, event: str, *,

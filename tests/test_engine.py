@@ -5,7 +5,7 @@ import time
 import pytest
 
 from toolgrid.errors import DataError, EngineError
-from toolgrid.store import sha256_hex
+from toolgrid.store import BlobStore, _blob_refs, sha256_hex
 
 from helpers import (
     BABYLONIAN_BODY,
@@ -459,6 +459,79 @@ def test_every_records_log_line_is_canonical_json(node, tmp_path):
     assert sink.inputs["t"] == {"type": "text", "value": awkward}
 
 
+def tool_runs(tmp_path):
+    """A file-in, file-out tool that writes stdout and stderr, and a failing tool."""
+    data = tmp_path / "data.txt"
+    data.write_text("tool chain input\n")
+    upper = write_tool(tmp_path, "upper.py", (
+        "print('upper out')\n"
+        "print('upper err', file=sys.stderr)\n"
+        "text = (wd / doc['data']).read_text()\n"
+        "(wd / 'outputs' / 'up.txt').write_text(text.upper())\n"
+        "(wd / 'outputs.json').write_text(json.dumps({'up': 'outputs/up.txt'}))\n"))
+    failing = write_tool(tmp_path, "fail.py", "print('fail out')\nraise SystemExit(3)\n")
+    return {
+        "files": workflow("files", [
+            instance("src", "input-provider@1", {"files": {"data": str(data)}}),
+            instance("calc", "script@1",
+                     script_config(upper, {"data": "file"}, {"up": "file"})),
+            instance("sink", "output-writer@1", {
+                "target": str(tmp_path / "files"), "inputs": {"up": "file"}})],
+            [edge("src.data", "calc.data"), edge("calc.up", "sink.up")]),
+        "failing": workflow("failing", [
+            instance("src", "input-provider@1", {"values": {"v": 1.0}}),
+            instance("calc", "script@1", script_config(failing, {"x": "float"}, {}))],
+            [edge("src.v", "calc.x")]),
+    }
+
+
+def test_the_dangling_check_sees_every_blob_a_record_names(node, tmp_path, monkeypatch):
+    has, asked = BlobStore.has, set()
+
+    def spy(blobs, digest):
+        asked.add(digest)
+        return has(blobs, digest)
+
+    monkeypatch.setattr(BlobStore, "has", spy)
+    runs = tool_runs(tmp_path)
+    run_ids = []
+    for name, state in (("files", "COMPLETED"), ("failing", "FAILED")):
+        engine = node.start_run(runs[name])
+        assert engine.wait(60) == state, name
+        run_ids.append(engine.run_id)
+    named = set().union(*(_blob_refs(record) for run_id in run_ids
+                          for record in node.store.query_run(run_id)))
+    assert asked == named
+    assert {sha256_hex(text) for text in (b"tool chain input\n", b"TOOL CHAIN INPUT\n",
+                                          b"upper out\n", b"upper err\n",
+                                          b"fail out\n")} <= named
+
+    # a tool's stdout that the blob store does not hold fails the run
+    denied = sha256_hex(b"upper out\n")
+    monkeypatch.setattr(BlobStore, "has",
+                        lambda blobs, digest: digest != denied and has(blobs, digest))
+    engine = node.start_run(runs["files"])
+    assert engine.wait(60) == "FAILED"
+    assert engine.failure["code"] == "DANGLING_REF"
+    assert denied in engine.failure["message"]
+    assert [r.instance_id for r in node.store.query_run(engine.run_id)] == ["src"]
+
+
+def test_each_watcher_event_matches_its_line(node, tmp_path):
+    runs = tool_runs(tmp_path)
+    for name, text, state in (("loop", grid_loop("loop", 5), "COMPLETED"),
+                              ("files", runs["files"], "COMPLETED"),
+                              ("failing", runs["failing"], "FAILED")):
+        events = []
+        engine = node.start_run(text, on_event=events.append)
+        assert engine.wait(60) == state, name
+        lines = [{"run_id": engine.run_id, **{k: v for k, v in doc.items() if k != "kind"}}
+                 for doc in node.store.events(engine.run_id)]
+        assert events == lines, name
+        assert {"firing-started", "firing-finished", "run-finished"} <= {
+            e["event"] for e in events}, name
+
+
 # -- every run ends: stop, store failures, long inline loops, cancel --------------
 
 
@@ -509,10 +582,10 @@ def test_a_store_failure_on_a_tool_record_fails_the_run(node, tmp_path, monkeypa
         [edge("src.v", "calc.x"), edge("calc.out", "sink.r")])
     record_execution = node.store.record_execution
 
-    def failing(run_id, record, **kwargs):
-        if record.instance_id == "calc":
+    def failing(run_id, key, refs, line):
+        if key[0] == "calc":
             raise fault
-        record_execution(run_id, record, **kwargs)
+        record_execution(run_id, key, refs, line)
 
     monkeypatch.setattr(node.store, "record_execution", failing)
     engine = node.start_run(text)

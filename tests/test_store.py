@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toolgrid.errors import DataError
-from toolgrid.store import (BlobStore, ExecutionRecord, RunStore, _encode_line,
+from toolgrid.store import (BlobStore, ExecutionRecord, RunStore, _blob_refs, _encode_line,
                             compile_firing_lines, datum_json, sha256_hex)
-from toolgrid.values import INT64_MAX, INT64_MIN, Datum
+from toolgrid.values import INT64_MAX, INT64_MIN, Datum, datum_from_json
 
 WORKFLOW_TEXT = '{"name": "demo", "components": [], "connections": []}'
 
@@ -23,6 +23,12 @@ def record(seq=0, inst="a", idx=1, *, started=1000, status="ok",
         started_at=started, finished_at=started + 5,
         inputs=inputs or {}, outputs=outputs or {},
         stdout=stdout, stderr=stderr, error=error, upstream=upstream)
+
+
+def execution(rec):
+    """``rec`` as RunStore.record_execution takes it: key, blob refs and line."""
+    return ((rec.instance_id, rec.execution_index), _blob_refs(rec),
+            _encode_line(rec.to_json()))
 
 
 def test_sha256_hex_empty_vector():
@@ -79,8 +85,8 @@ def test_execution_record_roundtrip():
         upstream={"x": {"instance_id": "src", "execution_index": 1, "output": "x"}})
     back = ExecutionRecord.from_json(rec.to_json())
     assert back == rec
-    assert back.input_data()["x"] == Datum.of_float(1.5)
-    assert back.output_data()["y"].value.filename == "out.dat"
+    assert datum_from_json(back.inputs["x"]) == Datum.of_float(1.5)
+    assert datum_from_json(back.outputs["y"]).value.filename == "out.dat"
 
 
 def test_failed_record_roundtrip():
@@ -122,9 +128,9 @@ def test_open_run_rejects_duplicates_and_bad_ids(store):
 
 def test_records_ordered_by_start_time(store):
     store.open_run("r1", WORKFLOW_TEXT)
-    store.record_execution("r1", record(seq=0, inst="b", idx=1, started=2000))
-    store.record_execution("r1", record(seq=1, inst="a", idx=1, started=1000))
-    store.record_execution("r1", record(seq=2, inst="a", idx=2, started=2000))
+    store.record_execution("r1", *execution(record(seq=0, inst="b", idx=1, started=2000)))
+    store.record_execution("r1", *execution(record(seq=1, inst="a", idx=1, started=1000)))
+    store.record_execution("r1", *execution(record(seq=2, inst="a", idx=2, started=2000)))
     ordered = [(r.instance_id, r.execution_index) for r in store.query_run("r1")]
     assert ordered == [("a", 1), ("a", 2), ("b", 1)]
     assert [r.instance_id for r in store.query_run("r1", instance_id="a")] == ["a", "a"]
@@ -132,20 +138,20 @@ def test_records_ordered_by_start_time(store):
 
 def test_duplicate_instance_index_rejected(store):
     store.open_run("r1", WORKFLOW_TEXT)
-    store.record_execution("r1", record(seq=0, inst="a", idx=1))
+    store.record_execution("r1", *execution(record(seq=0, inst="a", idx=1)))
     with pytest.raises(DataError) as err:
-        store.record_execution("r1", record(seq=1, inst="a", idx=1))
+        store.record_execution("r1", *execution(record(seq=1, inst="a", idx=1)))
     assert err.value.code == "DUPLICATE_KEY"
 
 
 def test_duplicate_detected_across_reopen(tmp_path):
     first = RunStore(tmp_path / "store")
     first.open_run("r1", WORKFLOW_TEXT)
-    first.record_execution("r1", record(seq=0, inst="a", idx=1))
+    first.record_execution("r1", *execution(record(seq=0, inst="a", idx=1)))
     # a fresh handle over the same directory still sees the key
     second = RunStore(tmp_path / "store")
     with pytest.raises(DataError):
-        second.record_execution("r1", record(seq=1, inst="a", idx=1))
+        second.record_execution("r1", *execution(record(seq=1, inst="a", idx=1)))
     assert len(second.query_run("r1")) == 1
 
 
@@ -153,12 +159,12 @@ def test_records_may_only_reference_stored_blobs(store):
     store.open_run("r1", WORKFLOW_TEXT)
     rec = record(outputs={"f": Datum.file("9" * 64, "x.bin").to_json()})
     with pytest.raises(DataError) as err:
-        store.record_execution("r1", rec)
+        store.record_execution("r1", *execution(rec))
     assert err.value.code == "DANGLING_REF"
 
     digest = store.blobs.put(b"real")
     ok = record(outputs={"f": Datum.file(digest, "x.bin").to_json()})
-    store.record_execution("r1", ok)
+    store.record_execution("r1", *execution(ok))
     assert store.referenced_blobs("r1") == {digest}
     assert store.missing_blobs("r1") == []
 
@@ -166,7 +172,7 @@ def test_records_may_only_reference_stored_blobs(store):
 def test_events_interleave_with_records(store):
     store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
-    store.record_execution("r1", record())
+    store.record_execution("r1", *execution(record()))
     store.append_event("r1", 20, "run-finished", state="COMPLETED")
     events = store.events("r1")
     assert [e["event"] for e in events] == ["run-started", "run-finished"]
@@ -187,7 +193,7 @@ def test_close_run_transitions(store):
     assert err.value.code == "RUN_CLOSED"
     # a closed run accepts no more records or events
     with pytest.raises(DataError):
-        store.record_execution("r1", record(seq=9, inst="z", idx=1))
+        store.record_execution("r1", *execution(record(seq=9, inst="z", idx=1)))
     with pytest.raises(DataError):
         store.append_event("r1", 30, "late")
 
@@ -195,7 +201,7 @@ def test_close_run_transitions(store):
 def test_closing_a_run_frees_its_key_set(tmp_path, monkeypatch):
     store = RunStore(tmp_path)
     store.open_run("r1", WORKFLOW_TEXT)
-    store.record_execution("r1", record(seq=0))
+    store.record_execution("r1", *execution(record(seq=0)))
     store.close_run("r1", "COMPLETED")
     assert "r1" not in store._seen_keys
 
@@ -204,7 +210,7 @@ def test_closing_a_run_frees_its_key_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(store, "query_run", rescan)
     with pytest.raises(DataError) as err:
-        store.record_execution("r1", record(seq=1, inst="late"))
+        store.record_execution("r1", *execution(record(seq=1, inst="late")))
     assert err.value.code == "RUN_CLOSED"
     assert "r1" not in store._seen_keys
 
@@ -237,8 +243,8 @@ def test_export_requires_terminal_state(store, tmp_path):
 def test_export_copies_everything(store, tmp_path):
     store.open_run("r1", WORKFLOW_TEXT)
     digest = store.blobs.put(b"artifact bytes")
-    store.record_execution("r1", record(
-        outputs={"f": Datum.file(digest, "a.bin").to_json()}))
+    store.record_execution("r1", *execution(record(
+        outputs={"f": Datum.file(digest, "a.bin").to_json()})))
     store.close_run("r1", "COMPLETED")
 
     dest = tmp_path / "export"
@@ -269,8 +275,8 @@ def test_export_copies_everything(store, tmp_path):
 def test_export_reads_the_records_once(store, tmp_path, monkeypatch):
     store.open_run("r1", WORKFLOW_TEXT)
     digest = store.blobs.put(b"artifact bytes")
-    store.record_execution("r1", record(
-        outputs={"f": Datum.file(digest, "a.bin").to_json()}))
+    store.record_execution("r1", *execution(record(
+        outputs={"f": Datum.file(digest, "a.bin").to_json()})))
     store.close_run("r1", "COMPLETED")
     calls = []
     query_run = store.query_run
@@ -289,7 +295,7 @@ def test_torn_last_line_is_ignored(store, tmp_path):
     # a crash during an append leaves an unterminated last line behind
     store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
-    store.record_execution("r1", record())
+    store.record_execution("r1", *execution(record()))
     store.close_run("r1", "FAILED")
     log = tmp_path / "store" / "runs" / "r1" / "records.log"
     with open(log, "a") as fh:
@@ -329,7 +335,7 @@ def test_a_bad_inner_line_is_corrupt_to_every_reader(store, tmp_path, bad_line):
     log = tmp_path / "store" / "runs" / "r1" / "records.log"
     with open(log, "ab") as fh:
         fh.write(bad_line)
-    store.record_execution("r1", record())
+    store.record_execution("r1", *execution(record()))
     store.close_run("r1", "COMPLETED")
     for call in (lambda: store.events("r1"), lambda: store.query_run("r1"),
                  lambda: store.query_run("r1", instance_id="absent"),
@@ -343,7 +349,7 @@ def test_a_bad_inner_line_is_corrupt_to_every_reader(store, tmp_path, bad_line):
 
 def test_export_refuses_a_dest_that_is_a_file(store, tmp_path):
     store.open_run("r1", WORKFLOW_TEXT)
-    store.record_execution("r1", record())
+    store.record_execution("r1", *execution(record()))
     store.close_run("r1", "COMPLETED")
     dest = tmp_path / "export"
     dest.write_bytes(b"keep me")
@@ -361,12 +367,12 @@ def _firing_log(store, firings):
         inst = "opt" if idx % 2 else "gate"
         store.append_event("r1", 3 * idx, "firing-started", instance=inst,
                            execution_index=idx, node="n1")
-        store.record_execution("r1", record(
+        store.record_execution("r1", *execution(record(
             seq=idx, inst=inst, idx=idx, started=3 * idx,
             inputs={"value": Datum.of_float(idx / 7).to_json()},
             outputs={"x": Datum.of_float(idx / 3).to_json()},
             upstream={"value": {"instance": "opt", "execution_index": idx,
-                                "output": "x"}}))
+                                "output": "x"}})))
         store.append_event("r1", 3 * idx + 2, "firing-finished", instance=inst,
                            execution_index=idx, status="ok")
     store.close_run("r1", "COMPLETED")
@@ -479,7 +485,9 @@ def test_compiled_lines_match_the_generic_encoder(inst, component, node, at, ind
         outputs={} if failed else {n: d.to_json() for n, d in outputs.items()},
         stdout=stdout, stderr=stderr, error=error if failed else None,
         upstream=upstream)
-    line = lines.record(rec, {n: datum_json(d) for n, (d, _) in inputs.items()},
+    line = lines.record(seq, index, status, exit_status, at, at + 2,
+                        error if failed else None, stdout, stderr,
+                        {n: datum_json(d) for n, (d, _) in inputs.items()},
                         {} if failed else {n: datum_json(d) for n, d in outputs.items()},
                         upstream_texts)
     assert line == json.dumps(rec.to_json(), sort_keys=True)
@@ -497,17 +505,17 @@ def test_a_compiled_line_passes_every_check_and_is_written_as_given(store):
     rec = record(seq=1)
     store.append_event("r1", 999, "firing-started", line=lines.started(999, 1),
                        instance="a", execution_index=1, node="n1")
-    store.record_execution("r1", rec, line=lines.record(rec, {}, {}, {}))
+    line = lines.record(1, 1, "ok", 0, 1000, 1005, None, None, None, {}, {}, {})
+    store.record_execution("r1", ("a", 1), set(), line)
     with pytest.raises(DataError) as err:
-        store.record_execution("r1", rec, line=lines.record(rec, {}, {}, {}))
+        store.record_execution("r1", ("a", 1), set(), line)
     assert err.value.code == "DUPLICATE_KEY"
-    ref = record(seq=2, idx=2, outputs={"f": Datum.file("9" * 64, "x.bin").to_json()})
     with pytest.raises(DataError) as err:
-        store.record_execution("r1", ref, line="{}")
+        store.record_execution("r1", ("a", 2), {"9" * 64}, "{}")
     assert err.value.code == "DANGLING_REF"
     store.close_run("r1", "COMPLETED")
     for append in (lambda: store.append_event("r1", 1000, "late", line="{}"),
-                   lambda: store.record_execution("r1", record(seq=3, idx=3), line="{}")):
+                   lambda: store.record_execution("r1", ("a", 3), set(), "{}")):
         with pytest.raises(DataError) as err:
             append()
         assert err.value.code == "RUN_CLOSED"
@@ -526,7 +534,7 @@ def test_a_second_store_sees_each_line_as_it_is_appended(tmp_path):
     writer.append_event("r1", 10, "run-started")
     assert [e["event"] for e in reader.events("r1")] == ["run-started"]
     for idx in range(1, 4):
-        writer.record_execution("r1", record(seq=idx, idx=idx))
+        writer.record_execution("r1", *execution(record(seq=idx, idx=idx)))
         assert len(reader.query_run("r1")) == idx
         writer.append_event("r1", 10 + idx, f"tick-{idx}")
         assert len(reader.events("r1")) == idx + 1
@@ -542,7 +550,7 @@ def test_appends_to_an_open_run_read_no_run_json(store, monkeypatch):
 
     monkeypatch.setattr(store, "_read_meta", unread)
     store.append_event("r1", 10, "run-started")
-    store.record_execution("r1", record())
+    store.record_execution("r1", *execution(record()))
     store.append_event("r1", 20, "run-finished", state="COMPLETED")
     monkeypatch.undo()
     assert [e["event"] for e in store.events("r1")] == ["run-started", "run-finished"]
@@ -560,7 +568,7 @@ def test_close_run_closes_and_drops_the_handle(store):
         store.append_event("r1", 30, "late")
     assert err.value.code == "RUN_CLOSED"
     with pytest.raises(DataError) as err:
-        store.record_execution("r1", record(seq=1, inst="late"))
+        store.record_execution("r1", *execution(record(seq=1, inst="late")))
     assert err.value.code == "RUN_CLOSED"
     assert [e["event"] for e in store.events("r1")] == ["run-started"]
 
@@ -574,7 +582,7 @@ def test_closing_the_store_keeps_open_runs_readable(store):
     assert store.run_state("r1") == "RUNNING"
     assert [e["event"] for e in store.events("r1")] == ["run-started"]
     # appends still work, reopening the file each time
-    store.record_execution("r1", record())
+    store.record_execution("r1", *execution(record()))
     store.close_run("r1", "COMPLETED")
     assert len(store.query_run("r1")) == 1
 

@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` replaces each target attribute with a timing wrapper and
 puts the original back afterwards. A renamed or removed layer function makes
-``enable`` fail here, in tier-1, instead of only in the benchmark's smoke run.
+``enable`` fail here, in tier-1, instead of only in the benchmark's smoke run,
+and an append that bypasses the wrapped names changes the traced append count.
 """
 
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
+from helpers import grid_loop  # noqa: E402
 
 
 def test_tracer_patches_and_restores_every_target():
@@ -25,3 +27,24 @@ def test_tracer_patches_and_restores_every_target():
         tracer.disable()
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_every_firing_makes_three_store_appends(node):
+    tracer = tracing.Tracer()
+    tracer.enable()
+    try:
+        tracer.begin_run(1)
+        engine = node.start_run(grid_loop("traced", 20))
+        assert engine.wait(60) == "COMPLETED"
+    finally:
+        tracer.run = None
+        tracer.disable()
+    firings = node.store.query_run(engine.run_id)
+    assert len(firings) == 41
+    appends = [span for span in tracer.spans if span[1] == "store.append"]
+    # firing-started, the record and firing-finished for every firing, plus
+    # run-started and run-finished
+    assert len(appends) == 3 * len(firings) + 2
+    # each firing-started append names its instance, which the queue wait reads
+    assert [span[6]["instance"] for span in appends if span[6]] == [
+        record.instance_id for record in firings]
