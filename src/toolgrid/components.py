@@ -28,7 +28,8 @@ from typing import Callable, Mapping, Optional, Union
 
 from .errors import ComponentConfigError, DataError, DescriptorError
 from .store import BlobStore
-from .tools import ToolDescriptor, _check_placeholders, current_os, execute_tool
+from .tools import (ExecutionOutcome, ToolDescriptor, _check_placeholders, current_os,
+                    execute_tool)
 from .values import Datum, DatumType, infer_scalar_type, scalar_datum
 from .workflow import IDENT_RE, ComponentInterface, ComponentRef, Endpoint
 
@@ -52,15 +53,21 @@ class FiringResult:
     stdout_ref: Optional[str] = None
     stderr_ref: Optional[str] = None
 
+    @classmethod
+    def of(cls, outcome: ExecutionOutcome) -> FiringResult:
+        """A tool run's outcome as its firing's result."""
+        return cls(list(outcome.outputs.items()), outcome.exit_status,
+                   outcome.stdout_ref, outcome.stderr_ref)
+
 
 # A behavior may hand back the result directly, or a thunk the engine runs on
-# its worker pool (used by subprocess-backed behaviors so the scheduling loop
+# its worker pool (what script@1 and placed tools do, so the scheduling loop
 # never blocks on child processes).
 FireReturn = Union[FiringResult, Callable[[], FiringResult]]
 
 
 class Behavior:
-    """One built-in instance per run; __init__ validates its config and sets ``interface``."""
+    """One instance per run; __init__ validates its config and sets ``interface``."""
 
     # True for loop drivers that must emit their first candidate before any
     # input exists; the engine grants them one input-less bootstrap firing.
@@ -211,13 +218,8 @@ class Script(Behavior):
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
         frozen = dict(inputs)
-
-        def run() -> FiringResult:
-            outcome = execute_tool(self._descriptor, frozen, ctx.work_root, ctx.blobs)
-            return FiringResult(list(outcome.outputs.items()), outcome.exit_status,
-                                outcome.stdout_ref, outcome.stderr_ref)
-
-        return run
+        return lambda: FiringResult.of(
+            execute_tool(self._descriptor, frozen, ctx.work_root, ctx.blobs))
 
 
 _OPERATORS: dict[str, Callable[[object, object], bool]] = {

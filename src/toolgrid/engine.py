@@ -1,9 +1,10 @@
 """The workflow controller: readiness-driven scheduling over input queues.
 
 One engine instance owns one run. Its thread, ``run-<id>``, alone changes the
-run's queues, state and records; pool workers (tool and async built-in
-results) and ``cancel`` only post messages to its inbox, so scheduling takes
-no lock and never blocks on a child process. Cheap built-ins fire inline.
+run's queues, state and records; pool workers (the firings of tools and of
+``script@1``) and ``cancel`` only post messages to its inbox, so scheduling
+takes no lock and never blocks on a child process. Every instance fires
+through its behavior; cheap built-ins fire inline.
 
 Firing semantics: a component is fireable when every queued input holds at
 least one datum, every constant input has received a value, and no firing of
@@ -31,15 +32,14 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from queue import Empty, SimpleQueue
-from typing import Callable, Mapping, NamedTuple, Optional, Protocol
+from typing import Callable, NamedTuple, Optional
 
 from .components import Behavior, FiringContext, FiringResult
 from .errors import EngineError, ToolgridError
 from .store import FiringLines, RunStore, compile_firing_lines, datum_json
-from .tools import ExecutionOutcome
 from .values import Datum, FileRef, convert, scalar_datum
-from .workflow import (ComponentInstance, ComponentInterface, Diagnostic, Endpoint,
-                       WorkflowGraph, serialize_workflow)
+from .workflow import (ComponentInstance, Diagnostic, Endpoint, WorkflowGraph,
+                       serialize_workflow)
 
 RUNNING = "RUNNING"
 COMPLETED = "COMPLETED"
@@ -68,29 +68,14 @@ class MsClock:
             return t
 
 
-class ToolDispatch(Protocol):
-    """How the engine reaches placed tools; local and remote look the same."""
-
-    def reachable(self, node_id: str) -> bool:
-        ...
-
-    def execute(self, node_id: str, component: str,
-                inputs: Mapping[str, Datum]) -> ExecutionOutcome:
-        ...
-
-
 @dataclass(frozen=True)
 class InstancePlan:
-    """One instance, resolved: its interface, executing node, and behavior.
-
-    ``behavior`` is this run's own built-in object, or None for external
-    tools, which go through ToolDispatch.
-    """
+    """One instance, resolved: its executing node and this run's own behavior,
+    a built-in or a placed tool, whose ``interface`` the engine schedules by."""
 
     instance: ComponentInstance
-    interface: ComponentInterface
     node: str
-    behavior: Optional[Behavior] = None
+    behavior: Behavior
 
 
 class _Parcel(NamedTuple):
@@ -117,9 +102,8 @@ class _Slot:
     @property
     def bootstrap(self) -> bool:
         """Whether the next firing is the single one that needs no queued data."""
-        behavior = self.plan.behavior
-        return self.fired == 0 and (not self.queues or (
-            behavior is not None and behavior.starts_without_input))
+        return self.fired == 0 and (
+            not self.queues or self.plan.behavior.starts_without_input)
 
     def ready(self) -> bool:
         if self.busy or any(p is None for p in self.constants.values()):
@@ -146,14 +130,13 @@ def new_run_id() -> str:
 
 class Engine:
     def __init__(self, run_id: str, graph: WorkflowGraph, plans: list[InstancePlan],
-                 store: RunStore, dispatch: ToolDispatch, executor: Executor,
+                 store: RunStore, executor: Executor,
                  controller_node: str, work_root: Path,
                  clock: MsClock | None = None,
                  on_event: Callable[[dict], None] | None = None):
         self.run_id = run_id
         self.graph = graph
         self.store = store
-        self._dispatch = dispatch
         self._executor = executor
         self._controller = controller_node
         self._work_root = Path(work_root)
@@ -171,7 +154,7 @@ class Engine:
 
         self._slots: dict[str, _Slot] = {}
         for plan in plans:
-            inputs = plan.interface.inputs
+            inputs = plan.behavior.interface.inputs
             self._slots[plan.instance.instance_id] = _Slot(
                 plan,
                 {ep.name: deque() for ep in inputs if ep.handling == "queued"},
@@ -184,20 +167,13 @@ class Engine:
             target = self._slots.get(conn.to_instance)
             if target is not None:
                 self._routes.setdefault((conn.from_instance, conn.output), []).append(
-                    (target, target.plan.interface.input(conn.input)))
+                    (target, target.plan.behavior.interface.input(conn.input)))
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Check placement and open the records here, then start the run thread."""
-        plans = [slot.plan for slot in self._slots.values()]
-        for plan in plans:
-            if not self._dispatch.reachable(plan.node):
-                raise EngineError(
-                    "PLACEMENT_UNREACHABLE",
-                    f"instance {plan.instance.instance_id!r} is placed on "
-                    f"unreachable node {plan.node!r}")
-        placement = {p.instance.instance_id: p.node for p in plans}
+        """Open the records here, then start the run thread."""
+        placement = {inst: slot.plan.node for inst, slot in self._slots.items()}
         self.store.open_run(self.run_id, serialize_workflow(self.graph),
                             workflow_name=self.graph.name,
                             controller_node=self._controller,
@@ -233,10 +209,9 @@ class Engine:
 
     def _seed(self) -> None:
         for slot in self._slots.values():
-            if slot.plan.behavior is not None:
-                slot.plan.behavior.setup()
+            slot.plan.behavior.setup()
             config = slot.plan.instance.config
-            for ep in slot.plan.interface.inputs:
+            for ep in slot.plan.behavior.interface.inputs:
                 if ep.name in config:
                     datum = scalar_datum(config[ep.name], ep.datum_type)
                     slot.put(ep.name, _Parcel(datum, datum_json(datum), "null"))
@@ -276,27 +251,17 @@ class Engine:
                          node=plan.node)
         inputs = {name: parcel.datum for name, parcel in consumed.items()}
 
-        if plan.behavior is not None:
-            try:
-                result = plan.behavior.fire(
-                    FiringContext(inst, index, self.store.blobs, self._work_root), inputs)
-            except ToolgridError as exc:
-                self._finish(ticket, error=exc)
-                return
-            if callable(result):
-                self._executor.submit(self._run_async, ticket, result)
-            else:
-                self._finish(ticket, result=result)
+        try:
+            result = plan.behavior.fire(
+                FiringContext(inst, index, self.store.blobs, self._work_root), inputs)
+        except ToolgridError as exc:
+            self._finish(ticket, error=exc)
+            return
+        # a thunk leaves the run thread here, the one place a firing does
+        if callable(result):
+            self._executor.submit(self._run_async, ticket, result)
         else:
-            component = str(plan.instance.component)
-
-            def call() -> FiringResult:
-                outcome = self._dispatch.execute(plan.node, component, inputs)
-                return FiringResult(list(outcome.outputs.items()),
-                                    outcome.exit_status,
-                                    outcome.stdout_ref, outcome.stderr_ref)
-
-            self._executor.submit(self._run_async, ticket, call)
+            self._finish(ticket, result=result)
 
     def _run_async(self, ticket: _Ticket, call: Callable[[], FiringResult]) -> None:
         try:
@@ -365,7 +330,7 @@ class Engine:
             return COMPLETED
         for inst in sorted({inst for inst, _ in leftovers}):
             slot = self._slots[inst]
-            for ep in slot.plan.interface.inputs:
+            for ep in slot.plan.behavior.interface.inputs:
                 if ep.name in slot.queues and not slot.queues[ep.name]:
                     message = (f"input {ep.name!r} of {inst!r} never received data "
                                f"while other inputs did")

@@ -25,13 +25,14 @@ import time
 import uuid
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty, SimpleQueue
 from typing import Callable, Mapping, Optional
 
 from . import wire
-from .components import BuiltinCatalog
+from .components import (Behavior, BuiltinCatalog, FireReturn, FiringContext,
+                         FiringResult)
 from .config import NodeConfig, PROTOCOL_VERSION, node_identity, parse_address
 from .engine import Engine, InstancePlan, MsClock, new_run_id
 from .errors import (ConfigError, CryptoError, DescriptorError, NetworkError,
@@ -45,10 +46,9 @@ from .tools import (ExecutionOutcome, ToolDescriptor, descriptor_to_json,
                     execute_tool, parse_descriptor)
 from .values import Datum, DatumType, datum_from_json
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
-from .workflow import (ComponentInstance, ComponentInterface, ComponentRef,
-                       Diagnostic, Endpoint, WorkflowGraph, interface_to_json,
-                       parse_workflow, plan_placement, serialize_workflow,
-                       validate_graph)
+from .workflow import (ComponentInterface, ComponentRef, Diagnostic, Endpoint,
+                       WorkflowGraph, interface_to_json, parse_workflow,
+                       plan_placement, validate_graph)
 
 log = logging.getLogger("toolgrid.node")
 
@@ -1137,20 +1137,23 @@ class Node:
                 "; ".join(f"{d.code} at {d.location}" for d in errors))
             failure.diagnostics = diagnostics
             raise failure
-        plan = plan_placement(graph, self.providers(), overrides)
+        assignments = plan_placement(graph, self.providers(), overrides)
         plans = []
         for instance in graph.components:
-            ref = instance.component
+            ref, target = instance.component, assignments[instance.instance_id]
+            if not self.reachable(target):
+                raise EngineError(
+                    "PLACEMENT_UNREACHABLE",
+                    f"instance {instance.instance_id!r} is placed on "
+                    f"unreachable node {target!r}")
             if self.builtins.is_builtin(ref):
                 behavior = self.builtins.create(ref, instance.config)
-                interface = behavior.interface
             else:
-                behavior, interface = None, self.resolve(ref, instance.config)
-            plans.append(InstancePlan(instance, interface,
-                                      plan.assignments[instance.instance_id],
-                                      behavior))
+                behavior = _PlacedTool(self, target, str(ref),
+                                       self.resolve(ref, instance.config))
+            plans.append(InstancePlan(instance, target, behavior))
         run_id = run_id or new_run_id()
-        engine = Engine(run_id, graph, plans, self.store, self, self._pool,
+        engine = Engine(run_id, graph, plans, self.store, self._pool,
                         controller_node=self.node_id, work_root=self.work_dir,
                         clock=self._clock, on_event=on_event)
         engine.start()
@@ -1158,7 +1161,7 @@ class Node:
             self._runs.add(engine)
         return engine
 
-    # -- engine dispatch (ToolDispatch protocol) ---------------------------------------
+    # -- placed tools ------------------------------------------------------------------
 
     def reachable(self, node_id: str) -> bool:
         if node_id == self.node_id or self.session_for(node_id) is not None:
@@ -1171,6 +1174,7 @@ class Node:
 
     def execute(self, node_id: str, component: str,
                 inputs: Mapping[str, Datum]) -> ExecutionOutcome:
+        """Run ``component`` on ``node_id``: this node's own tool, or a peer's offer."""
         if node_id == self.node_id:
             descriptor = self.descriptor(component)
             if descriptor is None:
@@ -1201,9 +1205,15 @@ class Node:
                     "request_id": request_id, "kind": "done",
                     "state": run_event.get("state")}))
 
+        overrides = body.get("overrides") or {}
+        if not isinstance(overrides, dict) or not all(
+                isinstance(key, str) and isinstance(value, str)
+                for key, value in overrides.items()):
+            raise NetworkError("BAD_REQUEST",
+                               "overrides must map instance ids to node ids")
         engine = self.start_run(
             str(body.get("workflow", "")),
-            overrides=body.get("overrides") or None,
+            overrides=overrides,
             on_event=forward if body.get("watch") else None)
         return {"kind": "accepted", "run_id": engine.run_id}
 
@@ -1287,6 +1297,21 @@ class Node:
         if reply.get("error"):
             raise _peer_error(reply["error"], "query failed")
         return reply
+
+
+class _PlacedTool(Behavior):
+    """A tool instance placed on ``target``, this node or a peer. Each firing
+    runs on a worker through ``Node.execute``, looked up on the node at call
+    time."""
+
+    def __init__(self, node: Node, target: str, component: str,
+                 interface: ComponentInterface):
+        self._node, self._target, self._component = node, target, component
+        self.interface = interface
+
+    def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
+        return lambda: FiringResult.of(
+            self._node.execute(self._target, self._component, inputs))
 
 
 def link_nodes(a: Node, b: Node) -> tuple[PeerSession, PeerSession]:

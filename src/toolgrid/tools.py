@@ -20,7 +20,6 @@ aborts the sequence. Nothing in the working directory is deleted afterwards.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import re
 import subprocess
@@ -309,17 +308,13 @@ def _coerce_output(name: str, declared: Endpoint, value, workdir: Path,
 
 
 def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
-                 workdir_root: Path, blobs: BlobStore, *,
-                 host_os: str | None = None,
-                 env: Mapping[str, str] | None = None,
-                 timeout: float | None = None) -> ExecutionOutcome:
+                 workdir_root: Path, blobs: BlobStore) -> ExecutionOutcome:
     """Run one tool firing in a fresh working directory.
 
     Raises ToolExecutionError carrying the failed stage, exit status, and
     blob references for whatever stdout/stderr was captured before the abort.
     """
-    host_os = host_os or current_os()
-    main_template = select_command(descriptor, host_os)
+    main_template = select_command(descriptor, current_os())
 
     declared = {e.name: e for e in descriptor.inputs}
     if set(inputs) != set(declared):
@@ -366,10 +361,6 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
                                   started_at=started_at, finished_at=_now_ms(),
                                   workdir=str(workdir))
 
-    run_env = dict(os.environ)
-    if env:
-        run_env.update(env)
-
     stages = [("pre", descriptor.pre_script), ("main", main_template),
               ("post", descriptor.post_script)]
     for stage, template in stages:
@@ -377,15 +368,9 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
             continue
         argv = render_command(template, workdir, coerced)
         try:
-            proc = subprocess.run(argv, cwd=workdir, capture_output=True,
-                                  env=run_env, timeout=timeout)
+            proc = subprocess.run(argv, cwd=workdir, capture_output=True)
         except OSError as exc:
             raise fail("SPAWN_FAILED", f"{stage} stage could not start: {exc}",
-                       stage, None) from exc
-        except subprocess.TimeoutExpired as exc:
-            stdout_parts.append(exc.stdout or b"")
-            stderr_parts.append(exc.stderr or b"")
-            raise fail("TOOL_FAILED", f"{stage} stage timed out after {timeout}s",
                        stage, None) from exc
         stdout_parts.append(proc.stdout)
         stderr_parts.append(proc.stderr)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Mapping, Optional, Protocol
 
 from .errors import PlacementError, WorkflowParseError
 from .values import DatumType, convertible, infer_scalar_type
@@ -149,21 +149,6 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.severity} {self.code} at {self.location}: {self.message}"
-
-
-def errors_only(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
-    return [d for d in diagnostics if d.severity == "error"]
-
-
-@dataclass(frozen=True)
-class PlacementPlan:
-    assignments: Mapping[str, str]  # instance_id -> node id
-
-    def node_for(self, instance_id: str) -> str:
-        return self.assignments[instance_id]
-
-    def nodes(self) -> set[str]:
-        return set(self.assignments.values())
 
 
 # --- parsing -----------------------------------------------------------------
@@ -382,8 +367,8 @@ def plan_placement(
     graph: WorkflowGraph,
     providers: Mapping[ComponentRef, set[str]],
     overrides: Mapping[str, str] | None = None,
-) -> PlacementPlan:
-    """Assign each instance to a publishing node.
+) -> dict[str, str]:
+    """Assign each instance to a publishing node: instance_id -> node id.
 
     Per instance: explicit override wins (and must actually publish the
     component); a graph-level placement pin is treated the same way; otherwise
@@ -412,4 +397,4 @@ def plan_placement(
                 f"no node publishes {comp.component} (instance {comp.instance_id!r})",
                 instance_id=comp.instance_id)
         assignments[comp.instance_id] = min(nodes)
-    return PlacementPlan(assignments)
+    return assignments

@@ -19,6 +19,7 @@ from toolgrid.uplink import RelayServer
 
 from helpers import (ADD_BODY, edge, grid_loop, instance, logged, script_config,
                      workflow, write_tool)
+from test_node import wait_until
 
 runner = CliRunner()
 
@@ -376,6 +377,44 @@ def test_serve_bind_conflict_exits_three(cfg):
         assert "BIND_FAILED" in result.stderr
     finally:
         blocker.close()
+
+
+def test_serve_takes_up_a_publish_and_frees_its_port_on_sigterm(cfg, make_node):
+    cfg.mkdir(parents=True)
+    save_config(NodeConfig(cfg, listen="127.0.0.1:0"))
+    src = Path(toolgrid.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toolgrid.cli", "--config-dir", str(cfg), "--json",
+         "serve"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        lines = []
+        for line in proc.stdout:  # one pretty-printed JSON document
+            lines.append(line)
+            if line.rstrip() == "}":
+                break
+        port = json.loads("".join(lines))["port"]
+        peer = make_node("peer")
+        peer.connect(("127.0.0.1", port))
+
+        integrated = invoke(cfg, "tool", "integrate", "--name", "wc", "--command",
+                            "wc -c ${in:text}", "--input", "text:file",
+                            "--output", "count:integer")
+        assert integrated.exit_code == 0, integrated.output
+        assert invoke(cfg, "tool", "publish", "wc@1").exit_code == 0
+        # serve re-reads config.json once a second
+        assert wait_until(lambda: [str(r.ref) for r in peer.remote_components()]
+                          == ["wc@1"], timeout=5)
+
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    socket.create_server(("127.0.0.1", port)).close()
 
 
 def test_uplink_serve_rejects_bad_address(cfg, tmp_path):

@@ -1,5 +1,6 @@
 import base64
 import json
+import logging
 import socket
 import sys
 import threading
@@ -636,6 +637,23 @@ def test_an_exec_request_with_malformed_blobs_is_refused_at_once(lan_pair, tmp_p
     assert reply.type == wire.EXEC_RESULT
     assert reply.body["status"] == "failed"
     assert reply.body["error"]["code"] == "BAD_REQUEST"
+
+
+@pytest.mark.parametrize("overrides", [["x"], "abc"])
+def test_a_run_submit_with_malformed_overrides_is_the_callers_error(lan_pair, caplog,
+                                                                    overrides):
+    a, b = lan_pair
+    text = workflow("submitted", [instance("src", "input-provider@1",
+                                           {"values": {"v": 1.0}})], [])
+    reply = b.session_for(a.node_id).request(wire.RUN_SUBMIT, {
+        "workflow": text, "overrides": overrides, "watch": False},
+        time.monotonic() + 5)
+    assert reply.type == wire.RUN_EVENT
+    assert reply.body["kind"] == "rejected"
+    assert reply.body["code"] == "BAD_REQUEST"
+    # the host logs before it replies, so any error record is here by now
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert a.store.list_runs() == []
 
 
 def test_a_fresh_node_writes_only_what_it_uses(make_node, tmp_path):

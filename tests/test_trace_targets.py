@@ -12,7 +12,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import tracing  # noqa: E402
-from helpers import grid_loop  # noqa: E402
+from helpers import edge, grid_loop, instance, workflow  # noqa: E402
+from test_node import identity_descriptor  # noqa: E402
 
 
 def test_tracer_patches_and_restores_every_target():
@@ -48,3 +49,31 @@ def test_every_firing_makes_three_store_appends(node):
     # each firing-started append names its instance, which the queue wait reads
     assert [span[6]["instance"] for span in appends if span[6]] == [
         record.instance_id for record in firings]
+
+
+def test_a_placed_tool_fires_through_node_execute(node, tmp_path):
+    node.install_descriptor(identity_descriptor(tmp_path, name="ident"))
+    text = workflow(
+        "traced-tool",
+        [instance("src", "input-provider@1", {"values": {"x": 7}}),
+         instance("tool", "ident@1"),
+         instance("step", "script@1",
+                  {"command": "true", "inputs": {"x": "integer"}, "outputs": {}})],
+        [edge("src.x", "tool.x"), edge("tool.out", "step.x")])
+    tracer = tracing.Tracer()
+    tracer.enable()
+    try:
+        tracer.begin_run(1)
+        engine = node.start_run(text)
+        assert engine.wait(60) == "COMPLETED"
+    finally:
+        tracer.run = None
+        tracer.disable()
+    # script@1 runs its command itself; only the placed tool goes through
+    # Node.execute, which runs the installed tool
+    executes = [span for span in tracer.spans if span[1] == "node.execute"]
+    assert len(executes) == 1
+    assert executes[0][6]["route"] == "local"
+    tools = [span for span in tracer.spans if span[1] == "tools.execute"]
+    assert len(tools) == 1
+    assert tools[0][4] == executes[0][0]

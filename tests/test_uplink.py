@@ -8,7 +8,7 @@ import pytest
 
 from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
-from toolgrid.errors import ConfigError, NetworkError
+from toolgrid.errors import ConfigError, EngineError, NetworkError
 from toolgrid.groups import PUBLIC, new_group_key
 from toolgrid.node import KEEPALIVE_COUNT, KEEPALIVE_IDLE, KEEPALIVE_INTERVAL
 from toolgrid.tools import parse_descriptor
@@ -17,6 +17,7 @@ from toolgrid.uplink import (ALLOWLIST, LOG_LINES_KEPT, RelayServer, UplinkLink,
 from toolgrid.values import Datum
 from toolgrid.wire import Frame, FrameReader
 
+from helpers import edge, instance, workflow
 from test_node import identity_descriptor, wait_until
 
 TOKENS = {"acme": "alpha-token", "beta": "beta-token", "corp": "corp-token"}
@@ -377,6 +378,30 @@ def test_cross_relay_publish_and_execute(make_relay, make_node, tmp_path):
 
     a.unpublish("identity@1")
     assert wait_until(lambda: not b.remote_components())
+
+
+def test_a_tool_behind_a_lost_uplink_is_refused_before_the_run_opens(
+        make_relay, make_node, tmp_path):
+    server, port = make_relay(TOKENS)
+    a = uplinked(make_node, port, "acme", "origin-a")
+    b = uplinked(make_node, port, "beta", "origin-b")
+    a.install_descriptor(identity_descriptor(tmp_path))
+    a.publish("identity@1")
+    assert wait_until(lambda: any(str(r.ref) == "acme::identity@1"
+                                  for r in b.remote_components()))
+
+    server.stop()
+    assert wait_until(lambda: not b.uplink.connected())
+    # relay offers outlive the uplink, so placement still picks acme's node
+    text = workflow(
+        "cut-off",
+        [instance("src", "input-provider@1", {"values": {"x": 1}}),
+         instance("echo", "acme::identity@1")],
+        [edge("src.x", "echo.x")])
+    with pytest.raises(EngineError) as err:
+        b.start_run(text)
+    assert err.value.code == "PLACEMENT_UNREACHABLE"
+    assert b.store.list_runs() == []
 
 
 def test_group_material_never_reaches_the_relay(make_relay, make_node, tmp_path):

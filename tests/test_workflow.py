@@ -10,7 +10,6 @@ from toolgrid.workflow import (
     Connection,
     Endpoint,
     WorkflowGraph,
-    errors_only,
     parse_workflow,
     plan_placement,
     serialize_workflow,
@@ -244,7 +243,7 @@ def test_validate_unseeded_constant_is_a_warning():
         [edge("s.x", "m.a")])
     diags = validate_graph(parse_workflow(text), CATALOG)
     assert [(d.severity, d.code) for d in diags] == [("warning", "UNSEEDED_CONSTANT")]
-    assert errors_only(diags) == []
+    assert [d for d in diags if d.severity == "error"] == []
 
 
 def test_endpoint_shape_rules():
@@ -265,12 +264,12 @@ def ref(text):
 def test_placement_prefers_lexicographic_minimum():
     graph = parse_workflow(workflow("w", [instance("a", "tool@1")], []))
     plan = plan_placement(graph, {ref("tool@1"): {"zulu", "alpha", "mike"}})
-    assert plan.node_for("a") == "alpha"
+    assert plan["a"] == "alpha"
 
 
 def test_placement_single_provider_and_missing():
     graph = parse_workflow(workflow("w", [instance("a", "tool@1")], []))
-    assert plan_placement(graph, {ref("tool@1"): {"n9"}}).assignments == {"a": "n9"}
+    assert plan_placement(graph, {ref("tool@1"): {"n9"}}) == {"a": "n9"}
     with pytest.raises(PlacementError) as err:
         plan_placement(graph, {})
     assert err.value.code == "NO_PROVIDER"
@@ -280,7 +279,7 @@ def test_placement_override_must_name_a_provider():
     graph = parse_workflow(workflow("w", [instance("a", "tool@1")], []))
     providers = {ref("tool@1"): {"n1", "n2"}}
     plan = plan_placement(graph, providers, overrides={"a": "n2"})
-    assert plan.node_for("a") == "n2"
+    assert plan["a"] == "n2"
     with pytest.raises(PlacementError) as err:
         plan_placement(graph, providers, overrides={"a": "n3"})
     assert err.value.code == "OVERRIDE_INVALID"
@@ -290,10 +289,10 @@ def test_placement_pin_in_document_behaves_like_override():
     graph = parse_workflow(workflow(
         "w", [instance("a", "tool@1", placement="n2")], []))
     providers = {ref("tool@1"): {"n1", "n2"}}
-    assert plan_placement(graph, providers).node_for("a") == "n2"
+    assert plan_placement(graph, providers)["a"] == "n2"
     # an explicit override still outranks the document pin
     assert plan_placement(graph, providers,
-                          overrides={"a": "n1"}).node_for("a") == "n1"
+                          overrides={"a": "n1"})["a"] == "n1"
     with pytest.raises(PlacementError):
         plan_placement(graph, {ref("tool@1"): {"n1"}})
 
@@ -302,5 +301,5 @@ def test_placement_plan_accessors():
     graph = parse_workflow(workflow(
         "w", [instance("a", "tool@1"), instance("b", "tool@1")], []))
     plan = plan_placement(graph, {ref("tool@1"): {"n1"}})
-    assert plan.nodes() == {"n1"}
-    assert plan.assignments == {"a": "n1", "b": "n1"}
+    assert set(plan.values()) == {"n1"}
+    assert plan == {"a": "n1", "b": "n1"}
