@@ -31,7 +31,7 @@ from .errors import (ComponentConfigError, ConfigError, CryptoError,
 from .groups import GroupKey, new_group_key, save_group_key
 from .node import Node
 from .tools import parse_descriptor, scaffold_descriptor
-from .workflow import parse_workflow
+from .workflow import parse_workflow, plan_placement
 
 USER_ERRORS = (WorkflowParseError, DescriptorError, ComponentConfigError,
                ConfigError, CryptoError, PlacementError)
@@ -251,11 +251,9 @@ def run(ctx: click.Context, workflow: Path, controller: str,
 def _await_remote_offers(node: Node, text: str,
                          overrides: dict[str, str] | None = None,
                          timeout: float = 5.0) -> None:
-    """Peer announcements race a freshly dialed node; wait for providers.
-
-    A pinned instance (--place or a placement field) needs its specific
-    node's offer, not just any offer for the component.
-    """
+    """Peer announcements race a freshly dialed node; wait until every
+    instance can be placed, a pinned one (--place or a placement field) on
+    the node it names."""
     with node._lock:
         attached = bool(node._sessions)
     if not attached and node.uplink is None:
@@ -264,21 +262,15 @@ def _await_remote_offers(node: Node, text: str,
         graph = parse_workflow(text)
     except ToolgridError:
         return  # the run path reports the parse error itself
-    overrides = overrides or {}
-
-    def pinned(inst):
-        if inst.instance_id in overrides:
-            return overrides[inst.instance_id]
-        return None if inst.placement == "auto" else inst.placement
-
     deadline = time.monotonic() + timeout
     previous = None
     while time.monotonic() < deadline:
-        offers = node.providers()
-        satisfied = all(
-            inst.component in offers and
-            (pinned(inst) is None or pinned(inst) in offers[inst.component])
-            for inst in graph.components)
+        offers = node.offers()
+        try:
+            placed = plan_placement(graph, offers, overrides)
+        except PlacementError:
+            placed = {}
+        satisfied = len(placed) == len(graph.components)
         # listings are eventually consistent; settle for one extra poll so
         # auto placement sees peers that announced a beat later
         if satisfied and offers == previous:
@@ -635,12 +627,11 @@ def uplink_connect(ctx: click.Context, relay_: str, client_id: str,
                                             path_type=Path))
 @click.pass_context
 def check(ctx: click.Context, workflow: Path) -> None:
-    """Parse and validate a workflow without running it."""
+    """Parse, place and validate a workflow without running it."""
     try:
         config = _load(ctx)
         node = Node(replace(config, listen=None))
-        graph = parse_workflow(workflow.read_text())
-        diagnostics = node.validate(graph)
+        _, diagnostics = node.plan(parse_workflow(workflow.read_text()))
     except ToolgridError as exc:
         _fail(exc)
         return

@@ -469,7 +469,7 @@ _BEHAVIORS: dict[str, type[Behavior]] = {
 
 
 class BuiltinCatalog:
-    """Resolves the built-in component set; see ComponentCatalog protocol."""
+    """The built-in component set."""
 
     def names(self) -> list[str]:
         return sorted(_BEHAVIORS)
@@ -479,11 +479,6 @@ class BuiltinCatalog:
 
     def is_builtin(self, ref: ComponentRef) -> bool:
         return ref.name in _BEHAVIORS and ref.version == BUILTIN_VERSION
-
-    def resolve(self, ref: ComponentRef, config: Mapping) -> Optional[ComponentInterface]:
-        if not self.is_builtin(ref):
-            return None
-        return self.create(ref, config).interface
 
     def create(self, ref: ComponentRef, config: Mapping) -> Behavior:
         """A fresh behavior for one instance in one run."""

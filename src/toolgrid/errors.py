@@ -31,9 +31,7 @@ class WorkflowParseError(ToolgridError):
 
 
 class PlacementError(ToolgridError):
-    def __init__(self, code: str, message: str, instance_id: str | None = None):
-        super().__init__(code, message)
-        self.instance_id = instance_id
+    """An instance pinned to a node that does not offer its component."""
 
 
 class DescriptorError(ToolgridError):

@@ -46,9 +46,9 @@ from .tools import (ExecutionOutcome, ToolDescriptor, descriptor_to_json,
                     execute_tool, parse_descriptor)
 from .values import Datum, DatumType, datum_from_json
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
-from .workflow import (ComponentInterface, ComponentRef, Diagnostic, Endpoint,
-                       WorkflowGraph, interface_to_json, parse_workflow,
-                       plan_placement, validate_graph)
+from .workflow import (ComponentInstance, ComponentInterface, ComponentRef,
+                       Diagnostic, Endpoint, WorkflowGraph, interface_to_json,
+                       parse_workflow, plan_placement, validate_graph)
 
 log = logging.getLogger("toolgrid.node")
 
@@ -1096,40 +1096,65 @@ class Node:
 
     # -- controller duties ---------------------------------------------------------
 
-    def resolve(self, ref: ComponentRef, config: Mapping) -> Optional[ComponentInterface]:
-        """Resolves builtins, installed descriptors, then remote announcements."""
-        if self.builtins.is_builtin(ref):
-            return self.builtins.resolve(ref, config)
-        descriptor = self.descriptor(str(ref))
-        if descriptor is not None:
-            return descriptor.interface()
-        for remote in self.remote_components():
-            if remote.ref == ref:
-                return remote.interface
-        return None
-
-    def providers(self) -> dict[ComponentRef, set[str]]:
-        out: dict[ComponentRef, set[str]] = {}
-        for ref in self.builtins.refs():
-            out.setdefault(ref, set()).add(self.node_id)
+    def offers(self) -> dict[ComponentRef, dict[str, Optional[RemoteComponent]]]:
+        """Who offers what: component -> node id -> that peer's offer, or None
+        for this node's own built-ins and tools. Only this node offers a
+        built-in's ref, and a peer's PUBLIC offer outranks its group offers,
+        which would cost a challenge round-trip."""
+        out: dict[ComponentRef, dict[str, Optional[RemoteComponent]]] = {
+            ref: {self.node_id: None} for ref in self.builtins.refs()}
         with self._lock:
             local = list(self._descriptors)
         for component in local:
-            out.setdefault(ComponentRef.parse(component), set()).add(self.node_id)
+            out.setdefault(ComponentRef.parse(component), {})[self.node_id] = None
         for remote in self.remote_components():
-            out.setdefault(remote.ref, set()).add(remote.publisher)
+            if self.builtins.is_builtin(remote.ref):
+                continue
+            nodes = out.setdefault(remote.ref, {})
+            if remote.publisher not in nodes or remote.group == PUBLIC:
+                nodes[remote.publisher] = remote
         return out
 
-    def validate(self, graph: WorkflowGraph) -> list[Diagnostic]:
-        return validate_graph(graph, self)
+    def plan(self, graph: WorkflowGraph, overrides: Mapping[str, str] | None = None
+             ) -> tuple[list[InstancePlan], list[Diagnostic]]:
+        """Place every instance, build its behavior once, and validate the graph
+        against those behaviors' interfaces, all from one snapshot of offers.
+
+        A placed tool takes the interface and group of the offer on its node.
+        The plans cover every instance when no diagnostic is an error. Raises
+        PlacementError(OVERRIDE_INVALID) for a pin to a node without the offer.
+        """
+        offers = self.offers()
+        placed = plan_placement(graph, offers, overrides)
+        plans: list[InstancePlan] = []
+
+        def build(instance: ComponentInstance) -> Optional[ComponentInterface]:
+            ref, target = instance.component, placed.get(instance.instance_id)
+            if target is None:
+                return None
+            offer = offers[ref][target]
+            if self.builtins.is_builtin(ref):
+                behavior: Behavior = self.builtins.create(ref, instance.config)
+            elif offer is not None:
+                behavior = _PlacedTool(self, target, str(ref), offer.group,
+                                       offer.interface)
+            elif (descriptor := self.descriptor(str(ref))) is not None:
+                behavior = _PlacedTool(self, target, str(ref), PUBLIC,
+                                       descriptor.interface())
+            else:
+                return None
+            plans.append(InstancePlan(instance, target, behavior))
+            return behavior.interface
+
+        return plans, validate_graph(graph, build)
 
     def start_run(self, workflow_text: str, *,
                   overrides: Mapping[str, str] | None = None,
                   run_id: str | None = None,
                   on_event: Callable[[dict], None] | None = None) -> Engine:
-        """Parse, validate, place, and open the records; the run goes on in its thread."""
+        """Parse, place, validate, and open the records; the run goes on in its thread."""
         graph = parse_workflow(workflow_text)
-        diagnostics = self.validate(graph)
+        plans, diagnostics = self.plan(graph, overrides)
         errors = [d for d in diagnostics if d.severity == "error"]
         if errors:
             failure = EngineError(
@@ -1137,21 +1162,12 @@ class Node:
                 "; ".join(f"{d.code} at {d.location}" for d in errors))
             failure.diagnostics = diagnostics
             raise failure
-        assignments = plan_placement(graph, self.providers(), overrides)
-        plans = []
-        for instance in graph.components:
-            ref, target = instance.component, assignments[instance.instance_id]
-            if not self.reachable(target):
+        for plan in plans:
+            if not self.reachable(plan.node):
                 raise EngineError(
                     "PLACEMENT_UNREACHABLE",
-                    f"instance {instance.instance_id!r} is placed on "
-                    f"unreachable node {target!r}")
-            if self.builtins.is_builtin(ref):
-                behavior = self.builtins.create(ref, instance.config)
-            else:
-                behavior = _PlacedTool(self, target, str(ref),
-                                       self.resolve(ref, instance.config))
-            plans.append(InstancePlan(instance, target, behavior))
+                    f"instance {plan.instance.instance_id!r} is placed on "
+                    f"unreachable node {plan.node!r}")
         run_id = run_id or new_run_id()
         engine = Engine(run_id, graph, plans, self.store, self._pool,
                         controller_node=self.node_id, work_root=self.work_dir,
@@ -1172,23 +1188,17 @@ class Node:
                        for remote in self.remote_components())
         return False
 
-    def execute(self, node_id: str, component: str,
+    def execute(self, node_id: str, component: str, group: str,
                 inputs: Mapping[str, Datum]) -> ExecutionOutcome:
-        """Run ``component`` on ``node_id``: this node's own tool, or a peer's offer."""
+        """Run ``component`` on ``node_id``: this node's own tool, or a peer's
+        offer to ``group``."""
         if node_id == self.node_id:
             descriptor = self.descriptor(component)
             if descriptor is None:
                 raise ToolExecutionError("UNKNOWN_COMPONENT",
                                          f"no installed tool {component!r}")
             return execute_tool(descriptor, inputs, self.work_dir, self.blobs)
-        offers = [remote for remote in self.remote_components()
-                  if str(remote.ref) == component and remote.publisher == node_id]
-        if not offers:
-            raise NetworkError("UNKNOWN_COMPONENT",
-                               f"{component!r} is not announced by {node_id[:12]}")
-        # a PUBLIC offer skips the challenge round-trip
-        offers.sort(key=lambda remote: remote.group != PUBLIC)
-        return self.remote_execute(node_id, component, offers[0].group, inputs)
+        return self.remote_execute(node_id, component, group, inputs)
 
     # -- run submission and data queries over the LAN ------------------------------------
 
@@ -1300,32 +1310,17 @@ class Node:
 
 
 class _PlacedTool(Behavior):
-    """A tool instance placed on ``target``, this node or a peer. Each firing
-    runs on a worker through ``Node.execute``, looked up on the node at call
-    time."""
+    """A tool instance placed on ``target``, this node or a peer, with the
+    interface and group of the offer it was placed by. Each firing runs on a
+    worker through ``Node.execute``, looked up on the node at call time."""
 
-    def __init__(self, node: Node, target: str, component: str,
+    def __init__(self, node: Node, target: str, component: str, group: str,
                  interface: ComponentInterface):
-        self._node, self._target, self._component = node, target, component
+        self._node, self._target = node, target
+        self._component, self._group = component, group
         self.interface = interface
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
-        return lambda: FiringResult.of(
-            self._node.execute(self._target, self._component, inputs))
+        return lambda: FiringResult.of(self._node.execute(
+            self._target, self._component, self._group, inputs))
 
-
-def link_nodes(a: Node, b: Node) -> tuple[PeerSession, PeerSession]:
-    """Join two in-process nodes over a socketpair (test harness plumbing)."""
-    sock_a, sock_b = socket.socketpair()
-    result: dict = {}
-
-    def adopt_b():
-        result["b"] = b.attach(sock_b)
-
-    thread = threading.Thread(target=adopt_b, daemon=True)
-    thread.start()
-    session_a = a.attach(sock_a)
-    thread.join(HANDSHAKE_TIMEOUT)
-    if "b" not in result:
-        raise NetworkError("BAD_HANDSHAKE", "socketpair handshake did not finish")
-    return session_a, result["b"]

@@ -416,9 +416,6 @@ class RunStore:
             refs |= _blob_refs(record)
         return refs
 
-    def missing_blobs(self, run_id: str) -> list[str]:
-        return sorted(d for d in self.referenced_blobs(run_id) if not self.blobs.has(d))
-
     def export_run(self, run_id: str, dest: Path) -> dict:
         """Copy a finished run plus every referenced blob into ``dest``.
 

@@ -278,9 +278,6 @@ class UplinkLink(Channel):
         self._stopping.set()
         self.close()
 
-    def wait_connected(self, timeout: float = 5.0) -> bool:
-        return self._connected.wait(timeout)
-
     # -- connection management ------------------------------------------------------
 
     def _connect_once(self) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol
+from typing import Callable, Collection, Mapping, Optional
 
 from .errors import PlacementError, WorkflowParseError
 from .values import DatumType, convertible, infer_scalar_type
@@ -98,13 +98,6 @@ def interface_to_json(interface: ComponentInterface) -> dict:
         "outputs": [{"name": e.name, "type": e.datum_type.value}
                     for e in interface.outputs],
     }
-
-
-class ComponentCatalog(Protocol):
-    """Resolves component references to their typed interfaces."""
-
-    def resolve(self, ref: ComponentRef, config: Mapping) -> Optional[ComponentInterface]:
-        ...
 
 
 @dataclass(frozen=True)
@@ -272,8 +265,13 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
 
 # --- validation ---------------------------------------------------------------
 
-def validate_graph(graph: WorkflowGraph, catalog: ComponentCatalog) -> list[Diagnostic]:
-    """Check a parsed graph against available component interfaces.
+def validate_graph(
+    graph: WorkflowGraph,
+    resolve: Callable[[ComponentInstance], Optional[ComponentInterface]],
+) -> list[Diagnostic]:
+    """Check a parsed graph against the interface ``resolve`` gives each
+    instance (None: the component is not available). ``resolve`` is called
+    once per instance, in declaration order.
 
     Returns an empty list iff the graph is executable. Never raises; all
     problems come back as diagnostics.
@@ -283,7 +281,7 @@ def validate_graph(graph: WorkflowGraph, catalog: ComponentCatalog) -> list[Diag
 
     for comp in graph.components:
         try:
-            iface = catalog.resolve(comp.component, comp.config)
+            iface = resolve(comp)
         except Exception as exc:  # bad built-in config surfaces here
             code = getattr(exc, "code", "BAD_CONFIG")
             out.append(Diagnostic("error", code, f"components.{comp.instance_id}", str(exc)))
@@ -365,7 +363,7 @@ def validate_graph(graph: WorkflowGraph, catalog: ComponentCatalog) -> list[Diag
 
 def plan_placement(
     graph: WorkflowGraph,
-    providers: Mapping[ComponentRef, set[str]],
+    providers: Mapping[ComponentRef, Collection[str]],
     overrides: Mapping[str, str] | None = None,
 ) -> dict[str, str]:
     """Assign each instance to a publishing node: instance_id -> node id.
@@ -373,12 +371,15 @@ def plan_placement(
     Per instance: explicit override wins (and must actually publish the
     component); a graph-level placement pin is treated the same way; otherwise
     the single provider, or the lexicographically smallest node id when
-    several publish it.
+    several publish it. An instance nobody publishes is left out; validation
+    reports it as UNKNOWN_COMPONENT.
     """
     overrides = overrides or {}
     assignments: dict[str, str] = {}
     for comp in graph.components:
-        nodes = providers.get(comp.component, set())
+        nodes = providers.get(comp.component)
+        if not nodes:
+            continue
         pinned = overrides.get(comp.instance_id)
         if pinned is None and comp.placement != "auto":
             pinned = comp.placement
@@ -387,14 +388,8 @@ def plan_placement(
                 raise PlacementError(
                     "OVERRIDE_INVALID",
                     f"node {pinned!r} does not publish {comp.component} "
-                    f"(instance {comp.instance_id!r})",
-                    instance_id=comp.instance_id)
+                    f"(instance {comp.instance_id!r})")
             assignments[comp.instance_id] = pinned
             continue
-        if not nodes:
-            raise PlacementError(
-                "NO_PROVIDER",
-                f"no node publishes {comp.component} (instance {comp.instance_id!r})",
-                instance_id=comp.instance_id)
         assignments[comp.instance_id] = min(nodes)
     return assignments

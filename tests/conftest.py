@@ -4,8 +4,10 @@ import time
 import pytest
 
 from toolgrid.config import NodeConfig
-from toolgrid.node import Node, link_nodes
+from toolgrid.node import Node
 from toolgrid.uplink import RelayServer
+
+from helpers import link_nodes
 
 
 @pytest.fixture(autouse=True)

@@ -7,7 +7,13 @@ working-directory contract.
 """
 
 import json
+import socket
+import threading
+import time
 from pathlib import Path
+
+from toolgrid.errors import NetworkError
+from toolgrid.node import HANDSHAKE_TIMEOUT
 
 PRELUDE = (
     "import json, sys\n"
@@ -62,6 +68,32 @@ def instance(instance_id: str, component: str, config: dict | None = None,
 
 def edge(src: str, dst: str) -> dict:
     return {"from": src, "to": dst}
+
+
+def wait_until(predicate, timeout=5.0, interval=0.02):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def link_nodes(a, b):
+    """Join two in-process nodes over a socketpair; returns both sessions."""
+    sock_a, sock_b = socket.socketpair()
+    result: dict = {}
+
+    def adopt_b():
+        result["b"] = b.attach(sock_b)
+
+    thread = threading.Thread(target=adopt_b, daemon=True)
+    thread.start()
+    session_a = a.attach(sock_a)
+    thread.join(HANDSHAKE_TIMEOUT)
+    if "b" not in result:
+        raise NetworkError("BAD_HANDSHAKE", "socketpair handshake did not finish")
+    return session_a, result["b"]
 
 
 def values_log(target: Path) -> list[dict]:

@@ -21,8 +21,7 @@ from toolgrid import wire
 from toolgrid.cli import main as cli_main
 from toolgrid.config import NodeConfig, UplinkSettings, save_config
 from toolgrid.errors import NetworkError
-from toolgrid.groups import GroupKey, derive_group_key_material
-from toolgrid.node import link_nodes
+from toolgrid.groups import PUBLIC, GroupKey, derive_group_key_material
 from toolgrid.store import RunStore
 from toolgrid.tools import parse_descriptor
 from toolgrid.uplink import ALLOWLIST
@@ -31,8 +30,9 @@ from toolgrid.wire import (BINARY_TYPES, MAX_FRAME, TYPE_NAMES, Frame,
                            FrameReader, decode_frame, encode_frame)
 
 from helpers import (BABYLONIAN_BODY, PRELUDE, SQUARE_GAP_BODY, edge,
-                     instance, logged, script_config, workflow, write_tool)
-from test_node import identity_descriptor, wait_until
+                     instance, link_nodes, logged, script_config, wait_until,
+                     workflow, write_tool)
+from test_node import identity_descriptor
 
 PY = "python3"
 
@@ -315,7 +315,7 @@ def test_06_relay_allowlist_sweep(make_node, make_relay, tmp_path):
         watcher = make_node("watcher", uplink=UplinkSettings(
             relay=f"127.0.0.1:{port}", client_id="watcher", token="wtok"))
         watcher.start()
-        assert watcher.uplink.wait_connected(5)
+        assert wait_until(watcher.uplink.connected)
 
         # a raw session records every frame the relay forwards
         raw = socket.create_connection(("127.0.0.1", port), timeout=5)
@@ -404,7 +404,7 @@ def test_07_cross_relay_execution(make_node, make_relay, tmp_path):
             relay=f"127.0.0.1:{port}", client_id="beta", token="b-token"))
         a.start()
         b.start()
-        assert a.uplink.wait_connected(5) and b.uplink.wait_connected(5)
+        assert wait_until(a.uplink.connected) and wait_until(b.uplink.connected)
 
         key = GroupKey("partners", bytes(range(32)))
         a.add_group_key(key)
@@ -413,7 +413,7 @@ def test_07_cross_relay_execution(make_node, make_relay, tmp_path):
         a.publish("identity@1", group="partners")
         assert wait_until(lambda: b.remote_components())
 
-        local = a.execute(a.node_id, "identity@1", {"x": Datum.integer(612)})
+        local = a.execute(a.node_id, "identity@1", PUBLIC, {"x": Datum.integer(612)})
         remote = b.remote_execute(a.node_id, "acme::identity@1",
                                   key.key_id, {"x": Datum.integer(612)})
         assert remote.outputs == local.outputs
@@ -499,7 +499,8 @@ def test_09_determinism_and_closure(node, tmp_path):
 
         # nothing recorded anywhere points at a missing blob
         for meta in node.store.list_runs():
-            assert node.store.missing_blobs(meta["run_id"]) == []
+            assert all(map(node.store.blobs.has,
+                           node.store.referenced_blobs(meta["run_id"])))
 
         export_a = node.store.export_run(run_a, tmp_path / "export-a")
         export_b = node.store.export_run(run_b, tmp_path / "export-b")

@@ -13,12 +13,13 @@ from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import NetworkError, ToolgridError
 from toolgrid.groups import PUBLIC
-from toolgrid.node import PeerSession, link_nodes
+from toolgrid.node import PeerSession
 from toolgrid.uplink import UplinkLink
 from toolgrid.values import Datum
 from toolgrid.wire import MAX_FRAME, Frame, FrameReader
 
-from test_node import identity_descriptor, wait_until
+from helpers import link_nodes, wait_until
+from test_node import identity_descriptor
 from test_uplink import TOKENS, RawClient, uplinked
 
 

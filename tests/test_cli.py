@@ -18,8 +18,7 @@ from toolgrid.node import Node
 from toolgrid.uplink import RelayServer
 
 from helpers import (ADD_BODY, edge, grid_loop, instance, logged, script_config,
-                     workflow, write_tool)
-from test_node import wait_until
+                     wait_until, workflow, write_tool)
 
 runner = CliRunner()
 
@@ -180,6 +179,17 @@ def test_check_lists_diagnostics_and_exits_two(cfg, tmp_path):
     doc = json.loads(result.stdout)
     codes = [d["code"] for d in doc["diagnostics"]]
     assert "DUPLICATE_INPUT_CONNECTION" in codes
+
+
+def test_check_applies_the_workflows_pins_as_run_does(cfg, tmp_path):
+    path = tmp_path / "pinned.workflow.json"
+    path.write_text(workflow(
+        "pinned", [instance("src", "input-provider@1", {"values": {"v": 1}},
+                            placement="f" * 32)], []))
+    for command in ("check", "run"):
+        result = invoke(cfg, command, str(path))
+        assert result.exit_code == 2, command
+        assert "OVERRIDE_INVALID" in result.stderr, command
 
 
 def test_check_parse_error_exits_two(cfg, tmp_path):

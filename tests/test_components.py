@@ -428,7 +428,7 @@ def test_catalog_surface():
     ref = ComponentRef("switch", BUILTIN_VERSION)
     assert catalog.is_builtin(ref)
     assert not catalog.is_builtin(ComponentRef("switch", "2"))
-    assert catalog.resolve(ComponentRef("ghost", "1"), {}) is None
+    assert not catalog.is_builtin(ComponentRef("ghost", "1"))
     assert isinstance(catalog.create(ref, {"condition": "< 10"}), Switch)
     with pytest.raises(ComponentConfigError):
         catalog.create(ComponentRef("ghost", "1"), {})

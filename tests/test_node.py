@@ -11,27 +11,21 @@ from hypothesis import given, settings, strategies as st
 
 from toolgrid import node as node_module, wire
 from toolgrid.config import PROTOCOL_VERSION, NodeConfig
-from toolgrid.errors import ConfigError, DescriptorError, NetworkError
+from toolgrid.components import BuiltinCatalog
+from toolgrid.errors import (ConfigError, DescriptorError, EngineError, NetworkError,
+                             PlacementError)
 from toolgrid.groups import PUBLIC, announcement_slot, decrypt_payload_json, \
     derive_group_key_material, encrypt_payload_json, new_group_key
-from toolgrid.node import Node, Registry, canonical_digest, link_nodes
+from toolgrid.node import Node, Registry, canonical_digest
 from toolgrid.tools import parse_descriptor
 from toolgrid.values import Datum, DatumType
 from toolgrid.wire import Frame, FrameReader
 from toolgrid.workflow import ComponentRef
 
-from helpers import PRELUDE, edge, instance, logged, script_config, workflow
+from helpers import (PRELUDE, edge, instance, link_nodes, logged, script_config,
+                     wait_until, workflow)
 
 PY = sys.executable or "python3"
-
-
-def wait_until(predicate, timeout=5.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def identity_descriptor(tmp_path, name="identity", doc=None):
@@ -487,23 +481,36 @@ def test_a_departed_peers_offers_leave_with_its_session(make_node, tmp_path):
             "name": "noop", "version": "1", "commands": {"linux": "true"}})))
         publisher.publish("noop@1")
     ref = ComponentRef.parse("noop@1")
-    assert wait_until(lambda: len(controller.providers().get(ref, ())) == 2)
+    assert wait_until(lambda: len(controller.offers().get(ref, ())) == 2)
 
     # auto-placement picks the smallest node id, so stop that one
     gone, survivor = sorted(publishers, key=lambda node: node.node_id)
     gone.stop()
-    assert wait_until(lambda: controller.providers()[ref] == {survivor.node_id})
+    assert wait_until(lambda: set(controller.offers()[ref]) == {survivor.node_id})
     engine = controller.start_run(workflow("left", [instance("step", "noop@1")], []))
     assert engine.wait(60) == "COMPLETED"
     [record] = controller.store.query_run(engine.run_id)
     assert record.node == survivor.node_id
 
 
-def test_distributed_run_places_work_on_the_publisher(lan_pair, tmp_path):
+def test_distributed_run_places_work_on_the_publisher(lan_pair, tmp_path,
+                                                     monkeypatch):
     a, b = lan_pair
     a.install_descriptor(identity_descriptor(tmp_path))
     a.publish("identity@1")
     assert wait_until(lambda: b.remote_components())
+    calls = {"listing": 0, "create": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Node, "remote_components",
+                        counted("listing", Node.remote_components))
+    monkeypatch.setattr(BuiltinCatalog, "create",
+                        counted("create", BuiltinCatalog.create))
 
     target = tmp_path / "out"
     text = workflow(
@@ -516,6 +523,9 @@ def test_distributed_run_places_work_on_the_publisher(lan_pair, tmp_path):
     engine = b.start_run(text)
     assert engine.wait(60) == "COMPLETED"
     assert logged(target, "r") == [11]
+    # one registry listing places, builds and validates the run, the remote
+    # firing needs none, and each built-in instance is built once
+    assert calls == {"listing": 1, "create": 2}
 
     records = {r.instance_id: r for r in b.store.query_run(engine.run_id)}
     assert records["echo"].node == a.node_id  # only a publishes identity@1
@@ -523,6 +533,54 @@ def test_distributed_run_places_work_on_the_publisher(lan_pair, tmp_path):
     assert records["sink"].node == b.node_id
     # the controller's store holds the full history including remote firings
     assert records["echo"].outputs["out"] == {"type": "integer", "value": 11}
+
+
+def _noop(name, inputs=()):
+    return parse_descriptor(json.dumps({
+        "name": name, "version": "1", "commands": {"linux": "true"},
+        "inputs": [{"name": n, "type": "integer"} for n in inputs]}))
+
+
+def test_an_instance_is_validated_against_the_offer_it_is_placed_on(lan_pair,
+                                                                    tmp_path):
+    low, high = sorted(lan_pair, key=lambda node: node.node_id)
+    low.install_descriptor(_noop("identity", inputs=["y"]))
+    low.publish("identity@1")
+    high.install_descriptor(identity_descriptor(tmp_path))
+    assert wait_until(lambda: high.remote_components())
+    text = workflow(
+        "mismatch",
+        [instance("src", "input-provider@1", {"values": {"v": 3}}),
+         instance("t", "identity@1")],
+        [edge("src.v", "t.x")])
+    # auto placement picks the lowest node id, whose identity@1 takes y
+    with pytest.raises(EngineError) as err:
+        high.start_run(text)
+    assert err.value.code == "VALIDATION_FAILED"
+    assert "UNKNOWN_ENDPOINT" in [d.code for d in err.value.diagnostics]
+    assert high.store.list_runs() == []
+
+    engine = high.start_run(text, overrides={"t": high.node_id})
+    assert engine.wait(60) == "COMPLETED"
+
+
+def test_a_peer_tool_named_like_a_builtin_leaves_the_builtin_local(lan_pair):
+    low, high = sorted(lan_pair, key=lambda node: node.node_id)
+    low.install_descriptor(_noop("switch"))
+    low.publish("switch@1")
+    assert wait_until(lambda: high.remote_components())
+    text = workflow(
+        "gate",
+        [instance("src", "input-provider@1", {"values": {"v": 2.0}}),
+         instance("gate", "switch@1", {"condition": "> 1"})],
+        [edge("src.v", "gate.value")])
+    engine = high.start_run(text)
+    assert engine.wait(60) == "COMPLETED"
+    records = high.store.query_run(engine.run_id)
+    assert [r.node for r in records] == [high.node_id, high.node_id]
+    with pytest.raises(PlacementError) as err:
+        high.start_run(text, overrides={"gate": low.node_id})
+    assert err.value.code == "OVERRIDE_INVALID"
 
 
 def test_submit_run_and_watch(lan_pair, tmp_path):

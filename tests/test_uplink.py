@@ -17,8 +17,8 @@ from toolgrid.uplink import (ALLOWLIST, LOG_LINES_KEPT, RelayServer, UplinkLink,
 from toolgrid.values import Datum
 from toolgrid.wire import Frame, FrameReader
 
-from helpers import edge, instance, workflow
-from test_node import identity_descriptor, wait_until
+from helpers import edge, instance, wait_until, workflow
+from test_node import identity_descriptor
 
 TOKENS = {"acme": "alpha-token", "beta": "beta-token", "corp": "corp-token"}
 
@@ -353,7 +353,7 @@ def uplinked(make_node, port, client_id, label):
         relay=f"127.0.0.1:{port}", client_id=client_id,
         token=TOKENS[client_id]))
     node.start()
-    assert node.uplink.wait_connected(5)
+    assert wait_until(node.uplink.connected)
     return node
 
 

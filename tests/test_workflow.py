@@ -25,8 +25,8 @@ class TableCatalog:
     def __init__(self, table):
         self.table = table
 
-    def resolve(self, ref, config):
-        return self.table.get(str(ref))
+    def __call__(self, instance):
+        return self.table.get(str(instance.component))
 
 
 SRC = ComponentInterface((), (Endpoint("x", "output", DatumType.FLOAT),))
@@ -270,9 +270,7 @@ def test_placement_prefers_lexicographic_minimum():
 def test_placement_single_provider_and_missing():
     graph = parse_workflow(workflow("w", [instance("a", "tool@1")], []))
     assert plan_placement(graph, {ref("tool@1"): {"n9"}}) == {"a": "n9"}
-    with pytest.raises(PlacementError) as err:
-        plan_placement(graph, {})
-    assert err.value.code == "NO_PROVIDER"
+    assert plan_placement(graph, {}) == {}
 
 
 def test_placement_override_must_name_a_provider():
