@@ -251,31 +251,23 @@ def run(ctx: click.Context, workflow: Path, controller: str,
 def _await_remote_offers(node: Node, text: str,
                          overrides: dict[str, str] | None = None,
                          timeout: float = 5.0) -> None:
-    """Peer announcements race a freshly dialed node; wait until every
-    instance can be placed, a pinned one (--place or a placement field) on
-    the node it names."""
-    with node._lock:
-        attached = bool(node._sessions)
-    if not attached and node.uplink is None:
+    """Relay offers race a fresh uplink and nothing marks their end; wait
+    until every instance can be placed, a pinned one (--place or a placement
+    field) on the node it names. LAN peers' offers are in once start returns."""
+    if node.uplink is None:
         return
     try:
         graph = parse_workflow(text)
     except ToolgridError:
         return  # the run path reports the parse error itself
     deadline = time.monotonic() + timeout
-    previous = None
     while time.monotonic() < deadline:
-        offers = node.offers()
         try:
-            placed = plan_placement(graph, offers, overrides)
+            placed = plan_placement(graph, node.offers(), overrides)
         except PlacementError:
             placed = {}
-        satisfied = len(placed) == len(graph.components)
-        # listings are eventually consistent; settle for one extra poll so
-        # auto placement sees peers that announced a beat later
-        if satisfied and offers == previous:
+        if len(placed) == len(graph.components):
             return
-        previous = offers if satisfied else None
         time.sleep(0.05)
 
 
@@ -352,7 +344,8 @@ def tool_list(ctx: click.Context, remote: bool) -> None:
                 for component in sorted(_local_components(node))]
         if remote:
             node.start()
-            time.sleep(0.5)  # one announcement round
+            if node.uplink is not None:
+                time.sleep(0.5)  # one relay announcement round
             for offer in node.remote_components():
                 rows.append({"component": str(offer.ref),
                              "where": offer.publisher,

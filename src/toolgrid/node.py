@@ -46,15 +46,17 @@ from .tools import (ExecutionOutcome, ToolDescriptor, descriptor_to_json,
                     execute_tool, parse_descriptor)
 from .values import Datum, DatumType, datum_from_json
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
-from .workflow import (ComponentInstance, ComponentInterface, ComponentRef,
-                       Diagnostic, Endpoint, WorkflowGraph, interface_to_json,
-                       parse_workflow, plan_placement, validate_graph)
+from .workflow import (IDENT_RE, VERSION_RE, ComponentInstance,
+                       ComponentInterface, ComponentRef, Diagnostic, Endpoint,
+                       WorkflowGraph, interface_to_json, parse_workflow,
+                       plan_placement, validate_graph)
 
 log = logging.getLogger("toolgrid.node")
 
 HANDSHAKE_TIMEOUT = 10.0
 # caps how long a peer can hold a hosting worker before its tool starts
 REQUEST_TIMEOUT = 60.0
+PING_TIMEOUT = 5.0
 ZERO_MAC_KEY = b"\x00" * 32  # lets non-members answer a challenge, unprovably
 
 # TCP keepalive: probe after this much silence, then every interval, and reset
@@ -328,14 +330,17 @@ class Registry:
                 if announcement_slot(material.mac_key, str(plain.get("name"))) != slot:
                     continue
             try:
-                name = str(plain["name"])
-                if entry.origin:
-                    name = f"{entry.origin}::{name}"
-                ref = ComponentRef(name, str(plain["version"]))
+                name, version = str(plain["name"]), str(plain["version"])
                 interface = interface_from_json(plain)
             except (KeyError, ValueError, TypeError):
                 continue
-            out.append(RemoteComponent(ref, publisher, group, interface,
+            # only the relay's stamp may put "::" in a ref: _route follows it
+            if not IDENT_RE.fullmatch(name) or not VERSION_RE.fullmatch(version):
+                continue
+            if entry.origin:
+                name = f"{entry.origin}::{name}"
+            out.append(RemoteComponent(ComponentRef(name, version), publisher,
+                                       group, interface,
                                        str(plain.get("doc_digest", "")),
                                        entry.origin))
         out.sort(key=lambda rc: (str(rc.ref), rc.publisher, rc.group))
@@ -609,9 +614,12 @@ class Node:
     def install_descriptor(self, descriptor: ToolDescriptor) -> Path:
         """Write ``tools/<name>-<version>.json`` and add the tool.
 
-        Raises DescriptorError(NAME_CLASH) when that file holds another
-        component: ``a-b@1`` and ``a@b-1`` would share one file.
+        Raises DescriptorError(NAME_CLASH) for a built-in's name, which
+        could never run, and when that file holds another component:
+        ``a-b@1`` and ``a@b-1`` would share one file.
         """
+        if descriptor.name in self.builtins.names():
+            raise DescriptorError("NAME_CLASH", f"{descriptor.name} is a built-in")
         path = self.config.tools_dir / f"{descriptor.name}-{descriptor.version}.json"
         if path.exists():
             try:
@@ -749,7 +757,11 @@ class Node:
         for address in self.config.peers:
             host, port = parse_address(address, "peers")
             try:
-                self.connect((host, port))
+                session = self.connect((host, port))
+                # the peer answers LIST and PING in order on its reader, so
+                # its offers are in the registry once the PONG arrives
+                session.send(Frame(wire.LIST, None))
+                session.request(wire.PING, {}, time.monotonic() + PING_TIMEOUT)
             except (NetworkError, OSError) as exc:
                 log.warning("peer %s unreachable: %s", address, exc)
         if self.config.uplink:
@@ -797,7 +809,7 @@ class Node:
         # a departed peer can no longer serve what it offered
         self.registry.forget(session)
 
-    def ping(self, node_id: str, timeout: float = 5.0) -> bool:
+    def ping(self, node_id: str, timeout: float = PING_TIMEOUT) -> bool:
         session = self.session_for(node_id)
         if session is None:
             return False
@@ -978,19 +990,16 @@ class Node:
 
     def _route(self, publisher: str,
                component: str) -> tuple[Channel, str, Optional[str]]:
-        """Find (channel, wire component name, relay target) for a publisher."""
+        """(channel, wire component name, relay target) for ``component`` on
+        ``publisher``: the LAN session to it, or else the uplink to the relay
+        client that the ref's ``<origin>::`` prefix names."""
+        origin, sep, name = component.rpartition("::")
         session = self.session_for(publisher)
         if session is not None:
-            name = component.split("::", 1)[1] if "::" in component else component
             return session, name, None
         uplink = self.uplink
-        if uplink is not None and uplink.connected():
-            for remote in self.remote_components():
-                if remote.publisher == publisher and remote.origin:
-                    prefix = remote.origin + "::"
-                    name = component[len(prefix):] if component.startswith(prefix) \
-                        else component
-                    return uplink, name, remote.origin
+        if sep and uplink is not None and uplink.connected():
+            return uplink, name, origin
         raise NetworkError("UNREACHABLE", f"no route to node {publisher[:12]}")
 
     def remote_execute(self, publisher: str, component: str, group: str,
@@ -1163,11 +1172,14 @@ class Node:
             failure.diagnostics = diagnostics
             raise failure
         for plan in plans:
-            if not self.reachable(plan.node):
+            try:
+                if plan.node != self.node_id:
+                    self._route(plan.node, str(plan.instance.component))
+            except NetworkError as exc:
                 raise EngineError(
                     "PLACEMENT_UNREACHABLE",
                     f"instance {plan.instance.instance_id!r} is placed on "
-                    f"unreachable node {plan.node!r}")
+                    f"unreachable node {plan.node!r}") from exc
         run_id = run_id or new_run_id()
         engine = Engine(run_id, graph, plans, self.store, self._pool,
                         controller_node=self.node_id, work_root=self.work_dir,
@@ -1178,15 +1190,6 @@ class Node:
         return engine
 
     # -- placed tools ------------------------------------------------------------------
-
-    def reachable(self, node_id: str) -> bool:
-        if node_id == self.node_id or self.session_for(node_id) is not None:
-            return True
-        uplink = self.uplink
-        if uplink is not None and uplink.connected():
-            return any(remote.publisher == node_id and remote.origin
-                       for remote in self.remote_components())
-        return False
 
     def execute(self, node_id: str, component: str, group: str,
                 inputs: Mapping[str, Datum]) -> ExecutionOutcome:

@@ -138,17 +138,20 @@ class RelayServer:
         self._log(f"session {client_id} ACTIVE")
 
     def _detach(self, session: _RelaySession) -> None:
-        """Forget a closed session and tell the other end of each of its routes."""
-        session.close()
-        if not session.client_id:
-            return
+        """Forget a session, then close it and tell the other end of each of
+        its routes. The client id is free again before the client can read
+        EOF; a session already detached is only closed."""
         with self._lock:
-            if self._sessions.get(session.client_id) is session:
+            attached = self._sessions.get(session.client_id) is session
+            if attached:
                 del self._sessions[session.client_id]
-            broken = {rid: pair for rid, pair in self._routes.items()
-                      if session in pair}
-            for request_id in broken:
-                del self._routes[request_id]
+                broken = {rid: pair for rid, pair in self._routes.items()
+                          if session in pair}
+                for request_id in broken:
+                    del self._routes[request_id]
+        session.close()
+        if not attached:
+            return
         self._log(f"session {session.client_id} closed")
         for request_id, (caller, target) in broken.items():
             survivor = target if session is caller else caller
@@ -168,7 +171,7 @@ class RelayServer:
                 "type": frame.type}))
             self._log(f"{session.client_id} sent {type_name(frame.type)}: "
                       "PROTOCOL_VIOLATION, session closed")
-            session.close()
+            self._detach(session)
             return
         body = frame.body or {}
         size = len(frame.binary)
@@ -185,7 +188,7 @@ class RelayServer:
                     "message": "announcement under a foreign namespace"}))
                 self._log(f"{session.client_id} spoofed origin {origin!r}: "
                           "PROTOCOL_VIOLATION, session closed")
-                session.close()
+                self._detach(session)
                 return
             stamped = dict(body)
             stamped["origin"] = session.client_id

@@ -15,10 +15,12 @@ import toolgrid
 from toolgrid.cli import main
 from toolgrid.config import NodeConfig, load_config, save_config
 from toolgrid.node import Node
+from toolgrid.store import RunStore
 from toolgrid.uplink import RelayServer
 
 from helpers import (ADD_BODY, edge, grid_loop, instance, logged, script_config,
                      wait_until, workflow, write_tool)
+from test_node import identity_descriptor
 
 runner = CliRunner()
 
@@ -246,6 +248,13 @@ def test_tool_integrate_refuses_a_descriptor_file_clash(cfg):
     assert [row["component"] for row in rows] == ["a-b@1"]
 
 
+def test_tool_integrate_refuses_a_builtins_name(cfg):
+    result = invoke(cfg, "tool", "integrate", "--name", "switch", "--command", "true")
+    assert result.exit_code == 2
+    assert "NAME_CLASH" in result.stderr
+    assert not list((cfg / "tools").glob("*"))
+
+
 def test_tool_publish_unknown_exits_two(cfg):
     result = invoke(cfg, "tool", "publish", "ghost@1")
     assert result.exit_code == 2
@@ -455,6 +464,65 @@ def test_uplink_connect_bad_token_exits_two(cfg):
         assert "AUTH_FAILED" in result.stderr
     finally:
         relay.stop()
+
+
+class _NoSleep:
+    """The time module as toolgrid.cli sees it, with sleep refused."""
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+    @staticmethod
+    def sleep(seconds):
+        raise AssertionError(f"slept {seconds} s")
+
+
+def _serving_peers(make_node, tmp_path, count):
+    """Listening nodes that each publish identity@1."""
+    peers = []
+    for i in range(count):
+        peer = make_node(f"peer{i}")
+        peer.install_descriptor(identity_descriptor(tmp_path))
+        peer.publish("identity@1")
+        peer.listen("127.0.0.1", 0)
+        peers.append(peer)
+    return peers
+
+
+def test_run_with_lan_peers_places_without_sleeping(cfg, tmp_path, make_node,
+                                                    monkeypatch):
+    peers = _serving_peers(make_node, tmp_path, 2)
+    save_config(NodeConfig(cfg, peers=[f"127.0.0.1:{peer.listen_port}"
+                                       for peer in peers]))
+    path = tmp_path / "echo.workflow.json"
+    path.write_text(workflow(
+        "echo",
+        [instance("src", "input-provider@1", {"values": {"x": 3}}),
+         instance("echo", "identity@1")],
+        [edge("src.x", "echo.x")]))
+    monkeypatch.setattr("toolgrid.cli.time", _NoSleep())
+    result = invoke(cfg, "run", str(path), json_out=True)
+    assert result.exit_code == 0, result.output
+    run_id = json_docs(result.stdout)[0]["run_id"]
+    store = RunStore(NodeConfig(cfg).store_dir)
+    try:
+        placed = {r.instance_id: r.node for r in store.query_run(run_id)}
+    finally:
+        store.close()
+    assert placed["echo"] == min(peer.node_id for peer in peers)
+
+
+def test_tool_list_remote_shows_a_lan_peer_without_sleeping(cfg, tmp_path,
+                                                            make_node,
+                                                            monkeypatch):
+    peer, = _serving_peers(make_node, tmp_path, 1)
+    save_config(NodeConfig(cfg, peers=[f"127.0.0.1:{peer.listen_port}"]))
+    monkeypatch.setattr("toolgrid.cli.time", _NoSleep())
+    result = invoke(cfg, "tool", "list", "--remote", json_out=True)
+    assert result.exit_code == 0, result.output
+    rows = json.loads(result.stdout)["components"]
+    assert {"component": "identity@1", "where": peer.node_id,
+            "group": "PUBLIC"} in rows
 
 
 def test_run_against_serving_node(cfg, tmp_path):

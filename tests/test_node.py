@@ -566,8 +566,12 @@ def test_an_instance_is_validated_against_the_offer_it_is_placed_on(lan_pair,
 
 def test_a_peer_tool_named_like_a_builtin_leaves_the_builtin_local(lan_pair):
     low, high = sorted(lan_pair, key=lambda node: node.node_id)
-    low.install_descriptor(_noop("switch"))
-    low.publish("switch@1")
+    # install_descriptor refuses a built-in's name, so the offer is injected
+    high.registry.apply({
+        "publisher": low.node_id, "sequence": 1, "group": PUBLIC,
+        "slot": "switch", "payload": {"name": "switch", "version": "1",
+                                      "inputs": [], "outputs": []}},
+        tombstone=False)
     assert wait_until(lambda: high.remote_components())
     text = workflow(
         "gate",
@@ -581,6 +585,20 @@ def test_a_peer_tool_named_like_a_builtin_leaves_the_builtin_local(lan_pair):
     with pytest.raises(PlacementError) as err:
         high.start_run(text, overrides={"gate": low.node_id})
     assert err.value.code == "OVERRIDE_INVALID"
+
+
+def test_a_bad_builtin_config_fails_validation_before_the_run_opens(node):
+    text = workflow(
+        "bad-gate",
+        [instance("src", "input-provider@1", {"values": {"v": 2.0}}),
+         instance("gate", "switch@1", {"condition": "~~ nope"})],
+        [edge("src.v", "gate.value")])
+    with pytest.raises(EngineError) as err:
+        node.start_run(text)
+    assert err.value.code == "VALIDATION_FAILED"
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("BAD_CONFIG", "components.gate")]
+    assert node.store.list_runs() == []
 
 
 def test_submit_run_and_watch(lan_pair, tmp_path):
@@ -667,6 +685,21 @@ def test_a_descriptor_file_clash_is_refused(make_node):
         assert fresh.descriptor("a@b-1") is None
     finally:
         fresh.stop()
+
+
+def test_a_peer_offer_must_carry_a_plain_name(node):
+    # only the relay's stamp may put "<origin>::" in a ref, since the route
+    # to a relay tool follows it
+    for slot, (name, version) in enumerate([("acme::score", "1"),
+                                            ("bad name!", "1"),
+                                            ("score", "1/../2"),
+                                            ("score", "1")]):
+        node.registry.apply({
+            "publisher": "p" * 32, "sequence": 1, "group": PUBLIC,
+            "slot": str(slot), "payload": {"name": name, "version": version,
+                                           "inputs": [], "outputs": []}},
+            tombstone=False)
+    assert [str(r.ref) for r in node.remote_components()] == ["score@1"]
 
 
 def test_a_peer_that_does_not_say_hello_is_refused(make_node):

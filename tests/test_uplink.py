@@ -10,14 +10,14 @@ from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import ConfigError, EngineError, NetworkError
 from toolgrid.groups import PUBLIC, new_group_key
-from toolgrid.node import KEEPALIVE_COUNT, KEEPALIVE_IDLE, KEEPALIVE_INTERVAL
+from toolgrid.node import KEEPALIVE_COUNT, KEEPALIVE_IDLE, KEEPALIVE_INTERVAL, Node
 from toolgrid.tools import parse_descriptor
 from toolgrid.uplink import (ALLOWLIST, LOG_LINES_KEPT, RelayServer, UplinkLink,
                              load_token_table)
 from toolgrid.values import Datum
 from toolgrid.wire import Frame, FrameReader
 
-from helpers import edge, instance, wait_until, workflow
+from helpers import edge, instance, link_nodes, wait_until, workflow
 from test_node import identity_descriptor
 
 TOKENS = {"acme": "alpha-token", "beta": "beta-token", "corp": "corp-token"}
@@ -208,6 +208,22 @@ def test_run_operations_are_not_forwardable(relay):
         assert attacker.recv() is None
     observer.send(Frame(wire.PING, {"request_id": "alive"}))
     assert observer.expect(wire.PONG).body == {"request_id": "alive"}
+
+
+def test_a_violator_can_reconnect_as_soon_as_it_reads_eof(relay):
+    # the relay frees the client id before it closes the socket, after
+    # either kind of violation
+    _, _, connect = relay
+    for round_ in range(30):
+        client = activate(connect, "acme")
+        if round_ % 2:
+            client.send(Frame(wire.RUN_SUBMIT, {"request_id": "r"}))
+        else:
+            client.send(Frame(wire.ANNOUNCE,
+                              dict(announcement_body(), origin="beta")))
+        client.expect(wire.ERROR)
+        assert client.recv() is None
+        client.close()
 
 
 def test_allowlist_is_exactly_the_published_set():
@@ -402,6 +418,55 @@ def test_a_tool_behind_a_lost_uplink_is_refused_before_the_run_opens(
         b.start_run(text)
     assert err.value.code == "PLACEMENT_UNREACHABLE"
     assert b.store.list_runs() == []
+
+
+def test_a_relay_firing_after_the_uplink_drops_is_unreachable(
+        make_relay, make_node, tmp_path):
+    server, port = make_relay(TOKENS)
+    a = uplinked(make_node, port, "acme", "drop-a")
+    b = uplinked(make_node, port, "beta", "drop-b")
+    a.install_descriptor(identity_descriptor(tmp_path))
+    a.publish("identity@1")
+    assert wait_until(lambda: b.remote_components())
+    server.stop()
+    assert wait_until(lambda: not b.uplink.connected())
+    with pytest.raises(NetworkError) as err:
+        b.execute(a.node_id, "acme::identity@1", PUBLIC, {"x": Datum.integer(1)})
+    assert err.value.code == "UNREACHABLE"
+
+
+def test_a_lan_and_relay_run_lists_the_registry_once(make_relay, make_node,
+                                                      tmp_path, monkeypatch):
+    server, port = make_relay(TOKENS)
+    ctrl = uplinked(make_node, port, "beta", "count-ctrl")
+    partner = uplinked(make_node, port, "acme", "count-partner")
+    lan = make_node("count-lan")
+    link_nodes(ctrl, lan)
+    key = new_group_key("exchange")
+    ctrl.add_group_key(key)
+    partner.add_group_key(key)
+    lan.install_descriptor(identity_descriptor(tmp_path, name="hop"))
+    lan.publish("hop@1")
+    partner.install_descriptor(identity_descriptor(tmp_path))
+    partner.publish("identity@1", group="exchange")
+    assert wait_until(lambda: len(ctrl.remote_components()) == 2)
+
+    listings = []
+    listing = Node.remote_components
+    monkeypatch.setattr(Node, "remote_components",
+                        lambda self: listings.append(self) or listing(self))
+    text = workflow(
+        "counted",
+        [instance("src", "input-provider@1", {"values": {"x": 4}}),
+         instance("hop", "hop@1"),
+         instance("echo", "acme::identity@1")],
+        [edge("src.x", "hop.x"), edge("hop.out", "echo.x")])
+    engine = ctrl.start_run(text)
+    assert engine.wait(60) == "COMPLETED"
+    records = {r.instance_id: r for r in ctrl.store.query_run(engine.run_id)}
+    assert (records["hop"].node, records["echo"].node) == (lan.node_id,
+                                                           partner.node_id)
+    assert sum(node is ctrl for node in listings) == 1
 
 
 def test_group_material_never_reaches_the_relay(make_relay, make_node, tmp_path):
