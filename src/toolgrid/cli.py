@@ -30,6 +30,7 @@ from .errors import (ComponentConfigError, ConfigError, CryptoError,
                      PlacementError, ToolgridError, WorkflowParseError)
 from .groups import GroupKey, new_group_key, save_group_key
 from .node import Node
+from .store import RunStore
 from .tools import parse_descriptor, scaffold_descriptor
 from .workflow import parse_workflow, plan_placement
 
@@ -95,7 +96,18 @@ def _wait_for_interrupt(cleanup) -> None:
         cleanup()
 
 
-@click.group()
+class _Commands(click.Group):
+    """Ends every command, nested groups' too, the one way: a ToolgridError
+    prints through ``_fail`` and exits with its code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ToolgridError as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Commands)
 @click.option("--config-dir", envvar="TOOLGRID_CONFIG_DIR", default=None,
               help="Node state directory (default ~/.toolgrid).")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
@@ -114,13 +126,9 @@ def main(ctx: click.Context, config_dir: str | None, as_json: bool) -> None:
 @click.pass_context
 def serve(ctx: click.Context) -> None:
     """Run this node: listen, connect peers and uplink, host tools."""
-    try:
-        config = _load(ctx)
-        node = Node(config)
-        node.start()
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    config = _load(ctx)
+    node = Node(config)
+    node.start()
     where = f"{config.listen} " if config.listen else ""
     _emit(ctx, {"node_id": node.node_id, "listen": config.listen,
                 "port": node.listen_port},
@@ -204,48 +212,45 @@ def run(ctx: click.Context, workflow: Path, controller: str,
             detail = " ".join(f"{k}={v}" for k, v in sorted(extras.items()))
             click.echo(f"[{event.get('at')}] {event.get('event')} {detail}".rstrip())
 
-    try:
-        config = _load(ctx)
-        if controller == "local":
-            node = Node(replace(config, listen=None))
-            node.start()
+    config = _load(ctx)
+    if controller == "local":
+        node = Node(replace(config, listen=None))
+        node.start()
+        try:
+            _await_remote_offers(node, text, overrides or None)
+            engine = node.start_run(text, overrides=overrides or None,
+                                    on_event=show_event if watch else None)
             try:
-                _await_remote_offers(node, text, overrides or None)
-                engine = node.start_run(text, overrides=overrides or None,
-                                        on_event=show_event if watch else None)
-                try:
-                    _emit(ctx, {"run_id": engine.run_id}, f"run {engine.run_id}")
-                    state = engine.wait()
-                except KeyboardInterrupt:  # Ctrl-C ends the run CANCELLED
-                    engine.cancel()
-                    state = engine.wait()
-                _finish_run(ctx, engine.run_id, state,
-                            [d.message for d in engine.stall_diagnostics],
-                            engine.failure)
-            finally:
-                node.stop()
-        else:
-            host, port = parse_address(controller, "--controller")
-            node = Node(replace(config, listen=None, peers=[], uplink=None))
-            try:
-                session = node.connect((host, port))
-                done: dict = {}
+                _emit(ctx, {"run_id": engine.run_id}, f"run {engine.run_id}")
+                state = engine.wait()
+            except KeyboardInterrupt:  # Ctrl-C ends the run CANCELLED
+                engine.cancel()
+                state = engine.wait()
+            _finish_run(ctx, engine.run_id, state,
+                        [d.message for d in engine.stall_diagnostics],
+                        engine.failure)
+        finally:
+            node.stop()
+    else:
+        host, port = parse_address(controller, "--controller")
+        node = Node(replace(config, listen=None, peers=[], uplink=None))
+        try:
+            session = node.connect((host, port))
+            done: dict = {}
 
-                def watcher(event: dict) -> None:
-                    show_event(event)
-                    if event.get("event") == "run-finished":
-                        done["state"] = event.get("state")
+            def watcher(event: dict) -> None:
+                show_event(event)
+                if event.get("event") == "run-finished":
+                    done["state"] = event.get("state")
 
-                run_id = node.submit_run(session.peer_node_id, text,
-                                         overrides=overrides or None,
-                                         watch=watcher if watch else None)
-                _emit(ctx, {"run_id": run_id}, f"run {run_id}")
-                if watch:
-                    _finish_run(ctx, run_id, done.get("state", "UNKNOWN"), [], None)
-            finally:
-                node.stop()
-    except ToolgridError as exc:
-        _fail(exc)
+            run_id = node.submit_run(session.peer_node_id, text,
+                                     overrides=overrides or None,
+                                     watch=watcher if watch else None)
+            _emit(ctx, {"run_id": run_id}, f"run {run_id}")
+            if watch:
+                _finish_run(ctx, run_id, done.get("state", "UNKNOWN"), [], None)
+        finally:
+            node.stop()
 
 
 def _await_remote_offers(node: Node, text: str,
@@ -316,16 +321,11 @@ def tool_integrate(ctx: click.Context, name: str, version_: str, command_: str,
                    os_key: str | None, inputs: tuple[str, ...],
                    outputs: tuple[str, ...], doc: str | None) -> None:
     """Wrap an installed executable as a workflow component."""
-    try:
-        text = scaffold_descriptor(name, version_, command_, list(inputs),
-                                   list(outputs), os_key=os_key,
-                                   documentation=doc)
-        config = _load(ctx)
-        node = Node(config)
-        path = node.install_descriptor(parse_descriptor(text))
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    text = scaffold_descriptor(name, version_, command_, list(inputs),
+                               list(outputs), os_key=os_key,
+                               documentation=doc)
+    node = Node(_load(ctx))
+    path = node.install_descriptor(parse_descriptor(text))
     _emit(ctx, {"descriptor": str(path), "component": f"{name}@{version_}"},
           f"integrated {name}@{version_} -> {path}")
 
@@ -335,33 +335,27 @@ def tool_integrate(ctx: click.Context, name: str, version_: str, command_: str,
 @click.pass_context
 def tool_list(ctx: click.Context, remote: bool) -> None:
     """Show installed (and optionally remotely offered) components."""
-    try:
-        config = _load(ctx)
-        node = Node(replace(config, listen=None))
-        published = dict(node.published_components())
-        rows = [{"component": component, "where": "local",
-                 "published": published.get(component)}
-                for component in sorted(_local_components(node))]
-        if remote:
-            node.start()
-            if node.uplink is not None:
-                time.sleep(0.5)  # one relay announcement round
-            for offer in node.remote_components():
-                rows.append({"component": str(offer.ref),
-                             "where": offer.publisher,
-                             "group": offer.group})
-            node.stop()
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    node = Node(replace(_load(ctx), listen=None))
+    published = dict(node.published_components())
+    rows = [{"component": component, "where": "local",
+             "published": published.get(component)}
+            for component in sorted(_local_components(node))]
+    if remote:
+        node.start()
+        if node.uplink is not None:
+            time.sleep(0.5)  # one relay announcement round
+        for offer in node.remote_components():
+            rows.append({"component": str(offer.ref),
+                         "where": offer.publisher,
+                         "group": offer.group})
+        node.stop()
     if ctx.obj["json"]:
         click.echo(json.dumps({"components": rows}, indent=2, sort_keys=True))
     else:
         for row in rows:
             mark = f" [published: {row['published']}]" if row.get("published") else ""
-            where = row["where"]
             group = f" group={row['group']}" if row.get("group") else ""
-            click.echo(f"{row['component']}  ({where}){group}{mark}")
+            click.echo(f"{row['component']}  ({row['where']}){group}{mark}")
 
 
 def _local_components(node: Node) -> list[str]:
@@ -376,16 +370,12 @@ def _local_components(node: Node) -> list[str]:
 @click.pass_context
 def tool_publish(ctx: click.Context, component: str, group_: str) -> None:
     """Offer an installed tool to peers; a serving node picks this up."""
-    try:
-        config = _load(ctx)
-        node = Node(config)
-        node.publish(component, group_, announce=False)  # validates both names
-        published = [p for p in config.published if p.component != component]
-        published.append(Publication(component, group_))
-        save_config(replace(config, published=published))
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    config = _load(ctx)
+    node = Node(config)
+    node.publish(component, group_, announce=False)  # validates both names
+    published = [p for p in config.published if p.component != component]
+    published.append(Publication(component, group_))
+    save_config(replace(config, published=published))
     _emit(ctx, {"component": component, "group": group_},
           f"published {component} to {group_}")
 
@@ -394,16 +384,12 @@ def tool_publish(ctx: click.Context, component: str, group_: str) -> None:
 @click.argument("component")
 @click.pass_context
 def tool_unpublish(ctx: click.Context, component: str) -> None:
-    try:
-        config = _load(ctx)
-        remaining = [p for p in config.published if p.component != component]
-        if len(remaining) == len(config.published):
-            raise ConfigError("UNKNOWN_TOOL", f"{component!r} is not published",
-                              key="published")
-        save_config(replace(config, published=remaining))
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    config = _load(ctx)
+    remaining = [p for p in config.published if p.component != component]
+    if len(remaining) == len(config.published):
+        raise ConfigError("UNKNOWN_TOOL", f"{component!r} is not published",
+                          key="published")
+    save_config(replace(config, published=remaining))
     _emit(ctx, {"component": component}, f"unpublished {component}")
 
 
@@ -419,13 +405,8 @@ def group() -> None:
 @click.argument("name")
 @click.pass_context
 def group_create(ctx: click.Context, name: str) -> None:
-    try:
-        config = _load(ctx)
-        key = new_group_key(name)
-        save_group_key(key, config.groups_dir)
-    except (ToolgridError, ValueError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
+    key = new_group_key(name)
+    save_group_key(key, _load(ctx).groups_dir)
     _emit(ctx, {"group": key.display()}, key.display())
 
 
@@ -433,15 +414,10 @@ def group_create(ctx: click.Context, name: str) -> None:
 @click.argument("name")
 @click.pass_context
 def group_export(ctx: click.Context, name: str) -> None:
-    try:
-        config = _load(ctx)
-        node = Node(replace(config, listen=None))
-        key = node.group_by_name(name)
-        if key is None:
-            raise DataError("UNKNOWN_GROUP", f"no group named {name!r}")
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    node = Node(_load(ctx))
+    key = node.group_by_name(name)
+    if key is None:
+        raise DataError("UNKNOWN_GROUP", f"no group named {name!r}")
     _emit(ctx, {"group": key.display(), "secret": key.secret.hex()},
           key.secret.hex())
 
@@ -452,31 +428,21 @@ def group_export(ctx: click.Context, name: str) -> None:
               help="64 hex chars; read from stdin when omitted.")
 @click.pass_context
 def group_import(ctx: click.Context, name: str, secret_hex: str | None) -> None:
+    if secret_hex is None:
+        secret_hex = sys.stdin.readline().strip()
     try:
-        if secret_hex is None:
-            secret_hex = sys.stdin.readline().strip()
-        try:
-            secret = bytes.fromhex(secret_hex)
-        except ValueError:
-            raise CryptoError("BAD_KEY_FILE", "secret is not valid hex") from None
-        config = _load(ctx)
-        key = GroupKey(name, secret)
-        save_group_key(key, config.groups_dir)
-    except (ToolgridError, ValueError) as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(2)
+        secret = bytes.fromhex(secret_hex)
+    except ValueError:
+        raise CryptoError("BAD_KEY_FILE", "secret is not valid hex") from None
+    key = GroupKey(name, secret)
+    save_group_key(key, _load(ctx).groups_dir)
     _emit(ctx, {"group": key.display()}, f"imported {key.display()}")
 
 
 @group.command("list")
 @click.pass_context
 def group_list(ctx: click.Context) -> None:
-    try:
-        config = _load(ctx)
-        node = Node(replace(config, listen=None))
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    node = Node(_load(ctx))
     rows = sorted(key.display() for key in node.group_keys.values())
     if ctx.obj["json"]:
         click.echo(json.dumps({"groups": rows}, indent=2))
@@ -493,21 +459,14 @@ def data() -> None:
     """Inspect recorded runs in the local store."""
 
 
-def _open_store(ctx: click.Context):
-    config = _load(ctx)
-    from .store import RunStore
-    return RunStore(config.store_dir)
+def _open_store(ctx: click.Context) -> RunStore:
+    return RunStore(_load(ctx).store_dir)
 
 
 @data.command("runs")
 @click.pass_context
 def data_runs(ctx: click.Context) -> None:
-    try:
-        store = _open_store(ctx)
-        runs = store.list_runs()
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    runs = _open_store(ctx).list_runs()
     if ctx.obj["json"]:
         click.echo(json.dumps({"runs": runs}, indent=2, sort_keys=True))
     else:
@@ -520,13 +479,9 @@ def data_runs(ctx: click.Context) -> None:
 @click.argument("run_id")
 @click.pass_context
 def data_show(ctx: click.Context, run_id: str) -> None:
-    try:
-        store = _open_store(ctx)
-        meta = store.run_meta(run_id)
-        records = store.query_run(run_id)
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    store = _open_store(ctx)
+    meta = store.run_meta(run_id)
+    records = store.query_run(run_id)
     if ctx.obj["json"]:
         click.echo(json.dumps({"meta": meta,
                                "records": [r.to_json() for r in records]},
@@ -546,12 +501,7 @@ def data_show(ctx: click.Context, run_id: str) -> None:
 @click.argument("dest", type=click.Path(path_type=Path))
 @click.pass_context
 def data_export(ctx: click.Context, run_id: str, dest: Path) -> None:
-    try:
-        store = _open_store(ctx)
-        manifest = store.export_run(run_id, dest)
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    manifest = _open_store(ctx).export_run(run_id, dest)
     _emit(ctx, manifest,
           f"exported {run_id} -> {dest} ({len(manifest['files'])} files)")
 
@@ -573,13 +523,9 @@ def uplink() -> None:
 def uplink_serve(ctx: click.Context, listen_: str, tokens_path: Path) -> None:
     """Run a relay that forwards only the allowlisted operations."""
     from .uplink import RelayServer, load_token_table
-    try:
-        host, port = parse_address(listen_, "--listen")
-        relay = RelayServer(load_token_table(tokens_path))
-        relay.start(host, port)
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    host, port = parse_address(listen_, "--listen")
+    relay = RelayServer(load_token_table(tokens_path))
+    relay.start(host, port)
     _emit(ctx, {"listen": listen_, "port": relay.listen_port},
           f"relay on {host}:{relay.listen_port} (ctrl-c to stop)")
     _wait_for_interrupt(relay.stop)
@@ -593,20 +539,13 @@ def uplink_serve(ctx: click.Context, listen_: str, tokens_path: Path) -> None:
 def uplink_connect(ctx: click.Context, relay_: str, client_id: str,
                    token: str) -> None:
     """Keep this node attached to a relay, announcing its published tools."""
-    try:
-        parse_address(relay_, "--relay")
-        config = _load(ctx)
-        settings = UplinkSettings(relay_, client_id, token)
-        node = Node(replace(config, uplink=None))
-        from .uplink import UplinkLink
-        node.uplink = UplinkLink(node, settings)
-        node.uplink.start()
-        if not node.uplink.connected():
-            raise NetworkError("CONNECT_FAILED",
-                               node.uplink.last_error or "relay unreachable")
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    parse_address(relay_, "--relay")
+    node = Node(replace(_load(ctx), listen=None, peers=[],
+                        uplink=UplinkSettings(relay_, client_id, token)))
+    node.start()
+    if not node.uplink.connected():
+        raise NetworkError("CONNECT_FAILED",
+                           node.uplink.last_error or "relay unreachable")
     _emit(ctx, {"client_id": client_id, "relay": relay_},
           f"uplink {client_id} connected to {relay_} (ctrl-c to stop)")
     _wait_for_interrupt(node.stop)
@@ -621,13 +560,8 @@ def uplink_connect(ctx: click.Context, relay_: str, client_id: str,
 @click.pass_context
 def check(ctx: click.Context, workflow: Path) -> None:
     """Parse, place and validate a workflow without running it."""
-    try:
-        config = _load(ctx)
-        node = Node(replace(config, listen=None))
-        _, diagnostics = node.plan(parse_workflow(workflow.read_text()))
-    except ToolgridError as exc:
-        _fail(exc)
-        return
+    node = Node(_load(ctx))
+    _, diagnostics = node.plan(parse_workflow(workflow.read_text()))
     errors = [d for d in diagnostics if d.severity == "error"]
     if ctx.obj["json"]:
         click.echo(json.dumps({"diagnostics": [

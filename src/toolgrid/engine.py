@@ -49,23 +49,22 @@ CANCELLED = "CANCELLED"
 
 
 class MsClock:
-    """Controller clock: UTC milliseconds, strictly increasing per call.
+    """A run's clock: UTC milliseconds, strictly increasing per call.
 
     Strict monotonicity makes (started_at, instance_id) a total order over
-    records that reproduces dispatch order exactly.
+    records that reproduces dispatch order exactly. Only one thread reads it
+    at a time: ``start``, then the run thread.
     """
 
     def __init__(self):
         self._last = 0
-        self._lock = threading.Lock()
 
     def now(self) -> int:
-        with self._lock:
-            t = int(time.time() * 1000)
-            if t <= self._last:
-                t = self._last + 1
-            self._last = t
-            return t
+        t = int(time.time() * 1000)
+        if t <= self._last:
+            t = self._last + 1
+        self._last = t
+        return t
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class Engine:
     def __init__(self, run_id: str, graph: WorkflowGraph, plans: list[InstancePlan],
                  store: RunStore, executor: Executor,
                  controller_node: str, work_root: Path,
-                 clock: MsClock | None = None,
                  on_event: Callable[[dict], None] | None = None):
         self.run_id = run_id
         self.graph = graph
@@ -140,7 +138,7 @@ class Engine:
         self._executor = executor
         self._controller = controller_node
         self._work_root = Path(work_root)
-        self._clock = clock or MsClock()
+        self._clock = MsClock()
         self._on_event = on_event
 
         self._state = RUNNING
@@ -324,11 +322,13 @@ class Engine:
                     moved, text if moved is datum else datum_json(moved), source))
 
     def _check_stall(self) -> str:
-        leftovers = [(inst, name) for inst, slot in self._slots.items()
-                     for name, queue in slot.queues.items() if queue]
-        if not leftovers:
+        """COMPLETED, or STALLED with a diagnostic per starved endpoint: an idle,
+        unready instance that holds data has an empty queue or a missing constant."""
+        stuck = sorted(inst for inst, slot in self._slots.items()
+                       if any(slot.queues.values()))
+        if not stuck:
             return COMPLETED
-        for inst in sorted({inst for inst, _ in leftovers}):
+        for inst in stuck:
             slot = self._slots[inst]
             for ep in slot.plan.behavior.interface.inputs:
                 if ep.name in slot.queues and not slot.queues[ep.name]:
@@ -342,11 +342,6 @@ class Engine:
                 self.stall_diagnostics.append(Diagnostic(
                     "error", "STARVED_INPUT", f"components.{inst}.{ep.name}", message))
                 self._emit("stall", instance=inst, endpoint=ep.name)
-        if not self.stall_diagnostics:
-            for inst, name in sorted(leftovers):
-                self.stall_diagnostics.append(Diagnostic(
-                    "error", "UNCONSUMED_INPUT", f"components.{inst}.{name}",
-                    f"data left on {inst}.{name} with no possible firing"))
         return STALLED
 
     def _over(self) -> bool:

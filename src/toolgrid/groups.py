@@ -34,7 +34,7 @@ NONCE_LEN = 12  # AEAD nonce, prepended to ciphertext
 CHALLENGE_LEN = 16  # server-chosen challenge nonce
 PUBLIC = "PUBLIC"
 
-GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
+GROUP_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*\Z")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from . import wire
 from .components import (Behavior, BuiltinCatalog, FireReturn, FiringContext,
                          FiringResult)
 from .config import NodeConfig, PROTOCOL_VERSION, node_identity, parse_address
-from .engine import Engine, InstancePlan, MsClock, new_run_id
+from .engine import Engine, InstancePlan, new_run_id
 from .errors import (ConfigError, CryptoError, DescriptorError, NetworkError,
                      EngineError, ToolExecutionError, ToolgridError)
 from .groups import (PUBLIC, GroupKey, announcement_slot, decrypt_announcement,
@@ -335,7 +335,7 @@ class Registry:
             except (KeyError, ValueError, TypeError):
                 continue
             # only the relay's stamp may put "::" in a ref: _route follows it
-            if not IDENT_RE.fullmatch(name) or not VERSION_RE.fullmatch(version):
+            if not IDENT_RE.match(name) or not VERSION_RE.match(version):
                 continue
             if entry.origin:
                 name = f"{entry.origin}::{name}"
@@ -580,7 +580,6 @@ class Node:
         self._sessions: list[PeerSession] = []
         self._by_peer: dict[str, PeerSession] = {}
         self._announce_seq = 0
-        self._clock = MsClock()
         self._runs: weakref.WeakSet[Engine] = weakref.WeakSet()  # held by their threads
         self._pool = ThreadPoolExecutor(max_workers=16,
                                         thread_name_prefix=f"node-{self.node_id[:6]}")
@@ -590,8 +589,10 @@ class Node:
 
         self.reload_tools()
         for publication in config.published:
-            self.publish(publication.component, publication.group,
-                         announce=False)
+            try:
+                self.publish(publication.component, publication.group, announce=False)
+            except ConfigError as exc:  # a lost tool or key must not block repair
+                log.warning("skipping publication of %s: %s", publication.component, exc)
 
     # -- local descriptors ---------------------------------------------------------
 
@@ -1183,7 +1184,7 @@ class Node:
         run_id = run_id or new_run_id()
         engine = Engine(run_id, graph, plans, self.store, self._pool,
                         controller_node=self.node_id, work_root=self.work_dir,
-                        clock=self._clock, on_event=on_event)
+                        on_event=on_event)
         engine.start()
         with self._lock:
             self._runs.add(engine)

@@ -28,7 +28,7 @@ from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Optional
 from .errors import DataError
 from .values import Datum, DatumType
 
-DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+DIGEST_RE = re.compile(r"^[0-9a-f]{64}\Z")
 
 # json.dumps(doc, sort_keys=True) without building a new encoder per call.
 _encode_line = json.JSONEncoder(sort_keys=True).encode
@@ -242,7 +242,7 @@ class RunStore:
         self._lock = threading.Lock()
 
     def _run_dir(self, run_id: str) -> Path:
-        if not re.match(r"^[A-Za-z0-9_-]+$", run_id or ""):
+        if not re.match(r"^[A-Za-z0-9_-]+\Z", run_id or ""):
             raise DataError("BAD_RUN_ID", f"bad run id {run_id!r}")
         return self.root / "runs" / run_id
 

@@ -29,12 +29,12 @@ from typing import Callable, Collection, Mapping, Optional
 from .errors import PlacementError, WorkflowParseError
 from .values import DatumType, convertible, infer_scalar_type
 
-IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-VERSION_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*\Z")
+VERSION_RE = re.compile(r"^[A-Za-z0-9._-]+\Z")
 # Component names gained through a relay carry the remote party's id as a
 # "<party>::" prefix so two organizations' tools can never collide.
 COMPONENT_NAME_RE = re.compile(
-    r"^(?:[A-Za-z0-9_-]+::)?[A-Za-z_][A-Za-z0-9_-]*$")
+    r"^(?:[A-Za-z0-9_-]+::)?[A-Za-z_][A-Za-z0-9_-]*\Z")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import toolgrid
 from toolgrid.cli import main
-from toolgrid.config import NodeConfig, load_config, save_config
+from toolgrid.config import NodeConfig, Publication, load_config, save_config
 from toolgrid.node import Node
 from toolgrid.store import RunStore
 from toolgrid.uplink import RelayServer
@@ -278,6 +278,15 @@ def test_tool_integrate_rejects_bad_placeholder(cfg):
     result = invoke(cfg, "tool", "integrate", "--name", "bad", "--command",
                     "prog ${in:missing}", "--output", "count:integer")
     assert result.exit_code == 2
+
+
+def test_a_stale_publication_does_not_block_its_repair(cfg):
+    save_config(NodeConfig(cfg, published=[Publication("gone@1", "PUBLIC")]))
+    assert invoke(cfg, "group", "list").exit_code == 0
+    integrated = invoke(cfg, "tool", "integrate", "--name", "gone", "--command", "true")
+    assert integrated.exit_code == 0, integrated.output
+    rows = json.loads(invoke(cfg, "tool", "list", json_out=True).stdout)["components"]
+    assert rows == [{"component": "gone@1", "where": "local", "published": "PUBLIC"}]
 
 
 # -- group ----------------------------------------------------------------------------
@@ -572,3 +581,27 @@ def test_ctrl_c_cancels_a_local_run(cfg, tmp_path):
     assert json.loads(shown.stdout)["meta"]["state"] == "CANCELLED"
     exported = invoke(cfg, "data", "export", run_id, str(tmp_path / "export"))
     assert exported.exit_code == 0, exported.output
+
+
+# -- every command ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["serve"], ["run", "WF"], ["check", "WF"],
+    ["tool", "integrate", "--name", "wc", "--command", "true"], ["tool", "list"],
+    ["tool", "publish", "wc@1"], ["tool", "unpublish", "wc@1"],
+    ["group", "create", "team"], ["group", "export-key", "team"],
+    ["group", "import-key", "team", "--secret", "ab" * 32], ["group", "list"],
+    ["data", "runs"], ["data", "show", "r1"], ["data", "export", "r1", "DEST"],
+    ["uplink", "connect", "--relay", "127.0.0.1:1", "--id", "a", "--token", "t"],
+], ids=" ".join)
+def test_every_command_ends_a_malformed_config_the_same_way(cfg, tmp_path, args):
+    cfg.mkdir()
+    (cfg / "config.json").write_text("{not json")
+    path = tmp_path / "w.workflow.json"
+    path.write_text(workflow("w", [instance("src", "input-provider@1",
+                                            {"values": {"v": 1}})], []))
+    swap = {"WF": str(path), "DEST": str(tmp_path / "export")}
+    result = invoke(cfg, *[swap.get(arg, arg) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("MALFORMED:"), result.stderr

@@ -616,3 +616,14 @@ def test_cancel_on_a_finished_run_is_already_terminal(node):
     with pytest.raises(EngineError) as err:
         engine.cancel()
     assert err.value.code == "ALREADY_TERMINAL"
+
+
+def test_each_run_stamps_from_its_own_clock(node):
+    """Four stamps per inline firing run a busy run's clock ahead of wall time;
+    the next run's clock starts at wall time again."""
+    busy = node.start_run(grid_loop("busy", 1_000))
+    assert busy.wait(60) == "COMPLETED"
+    wall = time.time() * 1000
+    engine = node.start_run(grid_loop("next", 2))
+    assert engine.wait(60) == "COMPLETED"
+    assert abs(node.store.run_meta(engine.run_id)["created_at"] - wall) < 1000

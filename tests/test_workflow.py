@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from toolgrid.errors import PlacementError, WorkflowParseError
+from toolgrid.errors import (CryptoError, DataError, DescriptorError, PlacementError,
+                             WorkflowParseError)
+from toolgrid.groups import GroupKey
+from toolgrid.store import BlobStore, RunStore
+from toolgrid.tools import parse_descriptor
 from toolgrid.values import DatumType
 from toolgrid.workflow import (
     ComponentInterface,
@@ -301,3 +305,27 @@ def test_placement_plan_accessors():
     plan = plan_placement(graph, {ref("tool@1"): {"n1"}})
     assert set(plan.values()) == {"n1"}
     assert plan == {"a": "n1", "b": "n1"}
+
+
+def descriptor_text(name="wc", version="1"):
+    return json.dumps({"name": name, "version": version,
+                       "commands": {"linux": "true"}})
+
+
+@pytest.mark.parametrize("attempt, error, code", [
+    (lambda root: parse_descriptor(descriptor_text(name="wc\n")),
+     DescriptorError, "SYNTAX"),
+    (lambda root: parse_descriptor(descriptor_text(version="1\n")),
+     DescriptorError, "SYNTAX"),
+    (lambda root: ComponentRef.parse("wc\n@1"), ValueError, None),
+    (lambda root: ComponentRef.parse("wc@1\n"), ValueError, None),
+    (lambda root: BlobStore(root).get("0" * 64 + "\n"), DataError, "BAD_DIGEST"),
+    (lambda root: GroupKey("team\n", bytes(32)), CryptoError, "BAD_GROUP_NAME"),
+    (lambda root: RunStore(root).open_run("r1\n", "{}"), DataError, "BAD_RUN_ID"),
+], ids=["tool-name", "tool-version", "ref-name", "ref-version", "digest",
+        "group-name", "run-id"])
+def test_validators_refuse_a_trailing_newline(tmp_path, attempt, error, code):
+    with pytest.raises(error) as err:
+        attempt(tmp_path)
+    assert getattr(err.value, "code", None) == code
+    assert not list(tmp_path.iterdir())  # nothing written: no runs/r1\n/
