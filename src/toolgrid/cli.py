@@ -32,6 +32,7 @@ from .groups import GroupKey, new_group_key, save_group_key
 from .node import Node
 from .store import RunStore
 from .tools import parse_descriptor, scaffold_descriptor
+from .uplink import RelayServer, load_token_table
 from .workflow import parse_workflow, plan_placement
 
 USER_ERRORS = (WorkflowParseError, DescriptorError, ComponentConfigError,
@@ -149,7 +150,7 @@ def serve(ctx: click.Context) -> None:
             last_mtime = mtime
             try:
                 node.reload_tools()
-                _sync_publications(node, load_config(config.config_dir))
+                node.apply_publications(load_config(config.config_dir).published)
             except ToolgridError as exc:
                 click.echo(f"config reload skipped: {exc}", err=True)
 
@@ -161,17 +162,6 @@ def serve(ctx: click.Context) -> None:
         node.stop()
 
     _wait_for_interrupt(cleanup)
-
-
-def _sync_publications(node: Node, config: NodeConfig) -> None:
-    desired = {p.component: p.group for p in config.published}
-    current = dict(node.published_components())
-    for component in current:
-        if component not in desired:
-            node.unpublish(component)
-    for component, group in desired.items():
-        if current.get(component) != group:
-            node.publish(component, group)
 
 
 # -- run ----------------------------------------------------------------------------
@@ -372,7 +362,7 @@ def tool_publish(ctx: click.Context, component: str, group_: str) -> None:
     """Offer an installed tool to peers; a serving node picks this up."""
     config = _load(ctx)
     node = Node(config)
-    node.publish(component, group_, announce=False)  # validates both names
+    node.publish(component, group_)  # validates both names
     published = [p for p in config.published if p.component != component]
     published.append(Publication(component, group_))
     save_config(replace(config, published=published))
@@ -522,7 +512,6 @@ def uplink() -> None:
 @click.pass_context
 def uplink_serve(ctx: click.Context, listen_: str, tokens_path: Path) -> None:
     """Run a relay that forwards only the allowlisted operations."""
-    from .uplink import RelayServer, load_token_table
     host, port = parse_address(listen_, "--listen")
     relay = RelayServer(load_token_table(tokens_path))
     relay.start(host, port)

@@ -31,7 +31,8 @@ from .store import BlobStore
 from .tools import (ExecutionOutcome, ToolDescriptor, _check_placeholders, current_os,
                     execute_tool)
 from .values import Datum, DatumType, infer_scalar_type, scalar_datum
-from .workflow import IDENT_RE, ComponentInterface, ComponentRef, Endpoint
+from .workflow import (IDENT_RE, ComponentInterface, ComponentRef, Endpoint,
+                       typed_endpoint)
 
 BUILTIN_VERSION = "1"
 
@@ -82,21 +83,15 @@ class Behavior:
 
 
 def _typed_endpoints(spec, direction: str, where: str) -> tuple[Endpoint, ...]:
-    """Config maps like {"x": "float"} or {"x": "float:constant"} (inputs)."""
+    """Config maps like {"x": "float"} or {"x": "float:constant"} (inputs only)."""
     if not isinstance(spec, Mapping):
         raise ComponentConfigError("BAD_CONFIG", f"{where} must be a name-to-type map")
     endpoints = []
     for name, type_spec in spec.items():
-        if not isinstance(name, str) or not IDENT_RE.match(name):
-            raise ComponentConfigError("BAD_CONFIG", f"bad endpoint name {name!r} in {where}")
         if not isinstance(type_spec, str):
             raise ComponentConfigError("BAD_CONFIG", f"{where}.{name} must be a type name")
-        type_name, _, handling = type_spec.partition(":")
         try:
-            dtype = DatumType.parse(type_name)
-            endpoints.append(Endpoint(
-                name, direction, dtype,
-                (handling or "queued") if direction == "input" else None))
+            endpoints.append(typed_endpoint(str(name), type_spec, direction))
         except ValueError as exc:
             raise ComponentConfigError("BAD_CONFIG", f"{where}.{name}: {exc}") from exc
     return tuple(endpoints)

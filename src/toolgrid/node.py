@@ -28,12 +28,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty, SimpleQueue
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import wire
 from .components import (Behavior, BuiltinCatalog, FireReturn, FiringContext,
                          FiringResult)
-from .config import NodeConfig, PROTOCOL_VERSION, node_identity, parse_address
+from .config import (NodeConfig, PROTOCOL_VERSION, Publication, node_identity,
+                     parse_address)
 from .engine import Engine, InstancePlan, new_run_id
 from .errors import (ConfigError, CryptoError, DescriptorError, NetworkError,
                      EngineError, ToolExecutionError, ToolgridError)
@@ -47,9 +48,9 @@ from .tools import (ExecutionOutcome, ToolDescriptor, descriptor_to_json,
 from .values import Datum, DatumType, datum_from_json
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
 from .workflow import (IDENT_RE, VERSION_RE, ComponentInstance,
-                       ComponentInterface, ComponentRef, Diagnostic, Endpoint,
-                       WorkflowGraph, interface_to_json, parse_workflow,
-                       plan_placement, validate_graph)
+                       ComponentInterface, ComponentRef, Diagnostic,
+                       WorkflowGraph, interface_from_json, interface_to_json,
+                       parse_workflow, plan_placement, validate_graph)
 
 log = logging.getLogger("toolgrid.node")
 
@@ -229,15 +230,6 @@ def canonical_digest(body: Mapping) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def interface_from_json(doc: Mapping) -> ComponentInterface:
-    inputs = tuple(Endpoint(e["name"], "input", DatumType(e["type"]),
-                            e.get("handling", "queued"))
-                   for e in doc.get("inputs", []))
-    outputs = tuple(Endpoint(e["name"], "output", DatumType(e["type"]))
-                    for e in doc.get("outputs", []))
-    return ComponentInterface(inputs, outputs)
-
-
 # -- announcement registry ---------------------------------------------------------
 
 
@@ -332,7 +324,7 @@ class Registry:
             try:
                 name, version = str(plain["name"]), str(plain["version"])
                 interface = interface_from_json(plain)
-            except (KeyError, ValueError, TypeError):
+            except (KeyError, DescriptorError):
                 continue
             # only the relay's stamp may put "::" in a ref: _route follows it
             if not IDENT_RE.match(name) or not VERSION_RE.match(version):
@@ -588,11 +580,7 @@ class Node:
         self.uplink = None  # set by start() or by the test harness
 
         self.reload_tools()
-        for publication in config.published:
-            try:
-                self.publish(publication.component, publication.group, announce=False)
-            except ConfigError as exc:  # a lost tool or key must not block repair
-                log.warning("skipping publication of %s: %s", publication.component, exc)
+        self.apply_publications(config.published)
 
     # -- local descriptors ---------------------------------------------------------
 
@@ -652,8 +640,7 @@ class Node:
 
     # -- publication and announcements ----------------------------------------------
 
-    def publish(self, component: str, group: str = PUBLIC, *,
-                announce: bool = True) -> None:
+    def publish(self, component: str, group: str = PUBLIC) -> None:
         """Offer an installed tool to a group (or everyone, for PUBLIC)."""
         descriptor = self.descriptor(component)
         if descriptor is None:
@@ -668,9 +655,7 @@ class Node:
                                   f"no key for group {group!r}", key="published")
         with self._lock:
             self._published[component] = _Publication(descriptor, key)
-        if announce:
-            self._broadcast(Frame(wire.ANNOUNCE,
-                                  self._announcement_body(component)))
+        self._broadcast(Frame(wire.ANNOUNCE, self._announcement_body(component)))
 
     def unpublish(self, component: str) -> None:
         with self._lock:
@@ -680,6 +665,25 @@ class Node:
                               f"{component!r} is not published", key="published")
         body = self._tombstone_body(publication)
         self._broadcast(Frame(wire.RETRACT, body))
+
+    def apply_publications(self, published: Sequence[Publication]) -> None:
+        """Publish each configured entry that is not yet published as
+        configured, and retract what the list no longer names.
+
+        An entry whose tool or group key is missing is logged and skipped:
+        it must not hold back the others, nor block its own repair.
+        """
+        wanted = {p.component: p.group for p in published}
+        current = dict(self.published_components())
+        for component in current.keys() - wanted.keys():
+            self.unpublish(component)
+        for component, group in wanted.items():
+            if current.get(component) == group:
+                continue
+            try:
+                self.publish(component, group)
+            except ConfigError as exc:
+                log.warning("skipping publication of %s: %s", component, exc)
 
     def published_components(self) -> list[tuple[str, str]]:
         with self._lock:
@@ -766,7 +770,8 @@ class Node:
             except (NetworkError, OSError) as exc:
                 log.warning("peer %s unreachable: %s", address, exc)
         if self.config.uplink:
-            from .uplink import UplinkLink
+            # uplink.py imports this module, so the import waits until here
+            from .uplink import UplinkLink  # noqa: PLC0415
             self.uplink = UplinkLink(self, self.config.uplink)
             self.uplink.start()
 
@@ -1064,23 +1069,24 @@ class Node:
                 exit_status=error.get("exit_status"),
                 stdout_ref=error.get("stdout"), stderr_ref=error.get("stderr"))
 
-        outputs: dict[str, Datum] = {}
-        for name, doc in dict(result.get("outputs", {})).items():
-            datum = datum_from_json(doc)
+        try:
+            outputs = {name: datum_from_json(doc)
+                       for name, doc in dict(result.get("outputs", {})).items()}
+            exit_status, started_at, finished_at = (
+                int(result.get(key, 0))
+                for key in ("exit_status", "started_at", "finished_at"))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise NetworkError("TRANSPORT", f"undecodable result: {exc}") from exc
+        for datum in outputs.values():
             if datum.type is DatumType.FILE and not self.blobs.has(datum.value.digest):
                 raise NetworkError(
                     "TRANSPORT",
                     f"output blob {datum.value.digest[:12]} never arrived")
-            outputs[name] = datum
         if result.get("stdout") != stdout_ref or result.get("stderr") != stderr_ref:
             raise NetworkError("TRANSPORT", "log digests do not match the result")
         return ExecutionOutcome(
-            exit_status=int(result.get("exit_status", 0)),
-            outputs=outputs,
-            stdout_ref=stdout_ref,
-            stderr_ref=stderr_ref,
-            started_at=int(result.get("started_at", 0)),
-            finished_at=int(result.get("finished_at", 0)),
+            exit_status=exit_status, outputs=outputs, stdout_ref=stdout_ref,
+            stderr_ref=stderr_ref, started_at=started_at, finished_at=finished_at,
             workdir="")
 
     def request_documentation(self, publisher: str, component: str,

@@ -24,15 +24,16 @@ import platform
 import re
 import subprocess
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .errors import DescriptorError, ToolExecutionError
 from .store import BlobStore
-from .values import Datum, DatumType, convert, convertible
+from .values import Datum, DatumType, convert, convertible, scalar_datum
 from .workflow import (IDENT_RE, VERSION_RE, ComponentInterface, Endpoint,
-                       interface_to_json)
+                       interface_from_json, interface_to_json, typed_endpoint)
 
 PLACEHOLDER_RE = re.compile(r"\$\{([^}]*)\}")
 KNOWN_OS = ("linux", "windows")
@@ -93,35 +94,6 @@ def _check_placeholders(template: str, where: str,
                                   f"{where} references ${{out:{name}}} but no output {name!r}")
 
 
-def _parse_endpoints(raw, direction: str, where: str) -> tuple[Endpoint, ...]:
-    if not isinstance(raw, list):
-        raise DescriptorError("SYNTAX", f"{where} must be a list")
-    endpoints: list[Endpoint] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise DescriptorError("SYNTAX", f"{where}[{i}] must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise DescriptorError("SYNTAX", f"{where}[{i}] needs a name")
-        if name in seen:
-            raise DescriptorError("DUPLICATE_ENDPOINT",
-                                  f"duplicate {direction} endpoint {name!r}")
-        seen.add(name)
-        try:
-            dtype = DatumType.parse(entry.get("type", ""))
-            handling = entry.get("handling", "queued") if direction == "input" else None
-            endpoints.append(Endpoint(name, direction, dtype, handling))
-        except ValueError as exc:
-            raise DescriptorError("SYNTAX", f"{where}[{i}]: {exc}") from exc
-        extra = set(entry) - ({"name", "type", "handling"} if direction == "input"
-                              else {"name", "type"})
-        if extra:
-            raise DescriptorError("SYNTAX",
-                                  f"{where}[{i}] has unknown keys {sorted(extra)}")
-    return tuple(endpoints)
-
-
 _DESCRIPTOR_KEYS = {"name", "version", "commands", "inputs", "outputs",
                     "preScript", "postScript", "documentation"}
 
@@ -157,8 +129,8 @@ def parse_descriptor(text: str) -> ToolDescriptor:
     if not commands:
         raise DescriptorError("MISSING_COMMAND", "descriptor declares no OS command")
 
-    inputs = _parse_endpoints(doc.get("inputs", []), "input", "inputs")
-    outputs = _parse_endpoints(doc.get("outputs", []), "output", "outputs")
+    interface = interface_from_json(doc)
+    inputs, outputs = interface.inputs, interface.outputs
 
     pre_script = doc.get("preScript")
     post_script = doc.get("postScript")
@@ -197,36 +169,33 @@ def descriptor_to_json(descriptor: ToolDescriptor) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_endpoint_spec(spec: str, direction: str) -> dict:
-    # "x:float:queued" for inputs, "y:float" for outputs
-    parts = spec.split(":")
-    if direction == "input" and len(parts) == 3:
-        name, type_name, handling = parts
-        return {"name": name, "type": type_name, "handling": handling}
-    if len(parts) == 2:
-        name, type_name = parts
-        entry = {"name": name, "type": type_name}
-        if direction == "input":
-            entry["handling"] = "queued"
-        return entry
-    raise DescriptorError(
-        "SYNTAX",
-        f"bad {direction} spec {spec!r}, expected name:type"
-        + (":handling" if direction == "input" else ""))
-
-
 def scaffold_descriptor(name: str, version: str, command: str,
                         input_specs: Sequence[str], output_specs: Sequence[str],
                         *, os_key: str | None = None,
                         documentation: str | None = None) -> str:
-    """Build descriptor text from short answers and validate it end to end."""
+    """Build descriptor text from short answers and validate it end to end.
+
+    Each endpoint spec is ``NAME:TYPE[:HANDLING]``, the handling for inputs
+    only; a bad one is DescriptorError(SYNTAX).
+    """
+    def endpoints(specs: Sequence[str], direction: str) -> tuple[Endpoint, ...]:
+        out = []
+        for spec in specs:
+            endpoint_name, _, type_spec = spec.partition(":")
+            try:
+                out.append(typed_endpoint(endpoint_name, type_spec, direction))
+            except ValueError as exc:
+                raise DescriptorError(
+                    "SYNTAX", f"bad {direction} spec {spec!r}: {exc}") from exc
+        return tuple(out)
+
     doc: dict = {
         "name": name,
         "version": version,
         "commands": {os_key or current_os(): command},
-        "inputs": [_parse_endpoint_spec(s, "input") for s in input_specs],
-        "outputs": [_parse_endpoint_spec(s, "output") for s in output_specs],
     }
+    doc.update(interface_to_json(ComponentInterface(
+        endpoints(input_specs, "input"), endpoints(output_specs, "output"))))
     if documentation is not None:
         doc["documentation"] = documentation
     text = json.dumps(doc, indent=2) + "\n"
@@ -291,20 +260,10 @@ def _coerce_output(name: str, declared: Endpoint, value, workdir: Path,
         digest = blobs.put(path.read_bytes())
         return Datum.file(digest, path.name)
     try:
-        if dtype is DatumType.BOOLEAN and isinstance(value, bool):
-            return Datum.boolean(value)
-        if dtype is DatumType.INTEGER and isinstance(value, int) and not isinstance(value, bool):
-            return Datum.integer(value)
-        if dtype is DatumType.FLOAT and isinstance(value, (int, float)) and not isinstance(value, bool):
-            return Datum.of_float(float(value))
-        if dtype is DatumType.TEXT and isinstance(value, str):
-            return Datum.text(value)
+        return scalar_datum(value, dtype)
     except ValueError as exc:
         raise ToolExecutionError("OUTPUT_TYPE_MISMATCH",
                                  f"output {name!r}: {exc}") from exc
-    raise ToolExecutionError(
-        "OUTPUT_TYPE_MISMATCH",
-        f"output {name!r} declared {dtype.value}, tool wrote {value!r}")
 
 
 def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
@@ -330,8 +289,7 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
                 f"input {name!r} is {datum.type.value}, declared {want.value}")
         coerced[name] = convert(datum, want)
 
-    import uuid as _uuid
-    workdir = Path(workdir_root) / _uuid.uuid4().hex
+    workdir = Path(workdir_root) / uuid.uuid4().hex
     (workdir / "outputs").mkdir(parents=True)
     (workdir / "inputs").mkdir()
 

@@ -108,20 +108,22 @@ def datum_from_json(obj: dict) -> Datum:
     dtype = DatumType.parse(obj["type"])
     if dtype is DatumType.FILE:
         return Datum(dtype, FileRef(obj["digest"], obj["filename"]))
-    value = obj["value"]
-    if dtype is DatumType.FLOAT and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    return Datum(dtype, value)
+    return scalar_datum(obj["value"], dtype)
 
 
 def scalar_datum(value, dtype: DatumType) -> Datum:
     """Build a datum of a declared type from a plain JSON scalar.
 
+    The one rule for seeds, tool outputs and datums read back from JSON.
     Integers are accepted for float endpoints (the one implicit conversion);
-    everything else must match exactly.
+    everything else must match exactly. Raises ValueError for a value that
+    does not fit, an integer too large for a float included.
     """
     if dtype is DatumType.FLOAT and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ValueError("integer too large for datum type float") from exc
     return Datum(dtype, value)
 
 

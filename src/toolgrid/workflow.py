@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Optional
 
-from .errors import PlacementError, WorkflowParseError
-from .values import DatumType, convertible, infer_scalar_type
+from .errors import DescriptorError, PlacementError, WorkflowParseError
+from .values import DatumType, convertible, scalar_datum
 
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*\Z")
 VERSION_RE = re.compile(r"^[A-Za-z0-9._-]+\Z")
@@ -98,6 +98,55 @@ def interface_to_json(interface: ComponentInterface) -> dict:
         "outputs": [{"name": e.name, "type": e.datum_type.value}
                     for e in interface.outputs],
     }
+
+
+def interface_from_json(doc: Mapping) -> ComponentInterface:
+    """Read the ``inputs``/``outputs`` lists that interface_to_json writes.
+
+    An input's handling defaults to queued. Raises DescriptorError: SYNTAX
+    for a malformed list or entry, DUPLICATE_ENDPOINT for a repeated name.
+    """
+    return ComponentInterface(_endpoint_list(doc.get("inputs", []), "input"),
+                              _endpoint_list(doc.get("outputs", []), "output"))
+
+
+def _endpoint_list(raw, direction: str) -> tuple[Endpoint, ...]:
+    where = f"{direction}s"
+    if not isinstance(raw, list):
+        raise DescriptorError("SYNTAX", f"{where} must be a list")
+    keys = {"name", "type", "handling"} if direction == "input" else {"name", "type"}
+    endpoints: dict[str, Endpoint] = {}
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise DescriptorError("SYNTAX", f"{where}[{i}] must be an object")
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise DescriptorError("SYNTAX", f"{where}[{i}] needs a name")
+        if name in endpoints:
+            raise DescriptorError("DUPLICATE_ENDPOINT",
+                                  f"duplicate {direction} endpoint {name!r}")
+        extra = set(entry) - keys
+        if extra:
+            raise DescriptorError("SYNTAX", f"{where}[{i}] has unknown keys {sorted(extra)}")
+        try:
+            handling = entry.get("handling", "queued") if direction == "input" else None
+            endpoints[name] = Endpoint(name, direction,
+                                       DatumType.parse(entry.get("type", "")), handling)
+        except ValueError as exc:
+            raise DescriptorError("SYNTAX", f"{where}[{i}]: {exc}") from exc
+    return tuple(endpoints.values())
+
+
+def typed_endpoint(name: str, spec: str, direction: str) -> Endpoint:
+    """One endpoint from the ``TYPE[:HANDLING]`` form of built-in config maps
+    and the CLI. Inputs default to queued; outputs take no handling.
+
+    Raises ValueError for a bad name, type or handling.
+    """
+    type_name, sep, handling = spec.partition(":")
+    if not sep:
+        handling = "queued" if direction == "input" else None
+    return Endpoint(name, direction, DatumType.parse(type_name), handling)
 
 
 @dataclass(frozen=True)
@@ -337,17 +386,11 @@ def validate_graph(
             seeded = ep.name in comp.config
             where = f"components.{comp.instance_id}.{ep.name}"
             if seeded:
-                seed = comp.config[ep.name]
-                try:
-                    seed_type = infer_scalar_type(seed)
-                except ValueError:
+                try:  # the engine seeds through the same rule
+                    scalar_datum(comp.config[ep.name], ep.datum_type)
+                except ValueError as exc:
                     out.append(Diagnostic("error", "TYPE_MISMATCH", where,
-                                          f"config seed {seed!r} is not a scalar"))
-                    continue
-                if not convertible(seed_type, ep.datum_type):
-                    out.append(Diagnostic(
-                        "error", "TYPE_MISMATCH", where,
-                        f"config seed {seed!r} does not fit {ep.datum_type.value}"))
+                                          f"config seed: {exc}"))
             if ep.handling == "queued" and not connected and not seeded:
                 out.append(Diagnostic(
                     "error", "INPUT_UNCONNECTED", where,

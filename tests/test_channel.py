@@ -14,11 +14,12 @@ from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import NetworkError, ToolgridError
 from toolgrid.groups import PUBLIC
 from toolgrid.node import PeerSession
+from toolgrid.store import sha256_hex
 from toolgrid.uplink import UplinkLink
 from toolgrid.values import Datum
 from toolgrid.wire import MAX_FRAME, Frame, FrameReader
 
-from helpers import link_nodes, wait_until
+from helpers import instance, link_nodes, wait_until, workflow
 from test_node import identity_descriptor
 from test_uplink import TOKENS, RawClient, uplinked
 
@@ -207,3 +208,61 @@ def test_a_host_that_fails_still_answers(kind, request_kind, make_node, make_rel
         # the answer is a reply the relay forwards, not a bare ERROR that
         # would end the host's session
         assert host.uplink.connected()
+
+
+NO_LOG = sha256_hex(b"")  # the digest of a log the host sent no chunk of
+
+
+def _host_that_replies(make_node, result):
+    """A caller node linked over a socketpair to a fake host that offers
+    fake@1 and answers every EXEC_REQUEST with ``result``."""
+    host_id = "f" * 32
+    ours, theirs = socket.socketpair()
+    theirs.sendall(wire.encode_frame(Frame(wire.HELLO, {
+        "protocol_version": PROTOCOL_VERSION, "node_id": host_id})))
+    caller = make_node("caller")
+    caller.attach(ours)
+    theirs.sendall(wire.encode_frame(Frame(wire.ANNOUNCE, {
+        "publisher": host_id, "sequence": 1, "group": PUBLIC, "slot": "fake",
+        "payload": {"name": "fake", "version": "1",
+                    "inputs": [{"name": "x", "type": "integer"}],
+                    "outputs": [{"name": "out", "type": "integer"}]}})))
+
+    def serve():
+        reader = FrameReader(theirs.recv)
+        with theirs:
+            while (frame := reader.next_frame()) is not None:
+                if frame.type == wire.EXEC_REQUEST:
+                    theirs.sendall(wire.encode_frame(Frame(wire.EXEC_RESULT, {
+                        "request_id": frame.body["request_id"], "status": "ok",
+                        "stdout": NO_LOG, "stderr": NO_LOG, **result})))
+
+    threading.Thread(target=serve, daemon=True).start()
+    assert wait_until(lambda: caller.remote_components())
+    return caller, host_id
+
+
+UNDECODABLE_RESULTS = {
+    "integer-beyond-int64": {"outputs": {"out": {"type": "integer", "value": 2 ** 70}}},
+    "file-without-digest": {"outputs": {"out": {"type": "file"}}},
+    "outputs-not-a-map": {"outputs": "out"},
+    "exit-status-not-a-number": {"outputs": {}, "exit_status": "soon"},
+}
+
+
+@pytest.mark.parametrize("result", UNDECODABLE_RESULTS.values(),
+                         ids=UNDECODABLE_RESULTS.keys())
+def test_an_undecodable_exec_result_ends_the_call_as_transport(result, make_node):
+    caller, host_id = _host_that_replies(make_node, result)
+    with pytest.raises(NetworkError) as err:
+        caller.remote_execute(host_id, "fake@1", PUBLIC, {"x": Datum.integer(1)})
+    assert err.value.code == "TRANSPORT"
+
+
+def test_a_run_through_an_undecodable_exec_result_fails_as_transport(make_node):
+    caller, _ = _host_that_replies(
+        make_node, UNDECODABLE_RESULTS["integer-beyond-int64"])
+    engine = caller.start_run(workflow(
+        "remote", [instance("t", "fake@1", {"x": 1})], []))
+    assert engine.wait(10) == "FAILED"
+    assert engine.failure["code"] == "TRANSPORT"

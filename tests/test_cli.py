@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import signal
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -194,6 +196,16 @@ def test_check_applies_the_workflows_pins_as_run_does(cfg, tmp_path):
         assert "OVERRIDE_INVALID" in result.stderr, command
 
 
+def test_check_refuses_a_seed_outside_int64(cfg, tmp_path):
+    path = tmp_path / "big-seed.workflow.json"
+    path.write_text(workflow("big-seed", [instance("s", "script@1", {
+        "command": "true", "inputs": {"x": "integer"}, "x": 2 ** 63})], []))
+    result = invoke(cfg, "check", str(path), json_out=True)
+    assert result.exit_code == 2
+    assert [(d["code"], d["location"]) for d in json.loads(result.stdout)["diagnostics"]] == [
+        ("TYPE_MISMATCH", "components.s.x")]
+
+
 def test_check_parse_error_exits_two(cfg, tmp_path):
     path = tmp_path / "broken.workflow.json"
     path.write_text("{not json")
@@ -232,6 +244,20 @@ def test_tool_integrate_list_publish_cycle(cfg):
     gone = invoke(cfg, "tool", "unpublish", "wc@1")
     assert gone.exit_code == 0
     assert load_config(cfg).published == []
+
+
+def test_tool_integrate_takes_a_handling_on_inputs_only(cfg):
+    accepted = invoke(cfg, "tool", "integrate", "--name", "scale", "--command",
+                      "scale ${in:x}", "--input", "x:float:constant")
+    assert accepted.exit_code == 0, accepted.output
+    descriptor = json.loads((cfg / "tools" / "scale-1.json").read_text())
+    assert descriptor["inputs"] == [{"name": "x", "type": "float",
+                                     "handling": "constant"}]
+    refused = invoke(cfg, "tool", "integrate", "--name", "shift", "--command",
+                     "shift", "--output", "y:float:queued")
+    assert refused.exit_code == 2
+    assert "SYNTAX" in refused.stderr
+    assert not (cfg / "tools" / "shift-1.json").exists()
 
 
 def test_tool_integrate_refuses_a_descriptor_file_clash(cfg):
@@ -407,7 +433,10 @@ def test_serve_bind_conflict_exits_three(cfg):
         blocker.close()
 
 
-def test_serve_takes_up_a_publish_and_frees_its_port_on_sigterm(cfg, make_node):
+@contextlib.contextmanager
+def serving(cfg):
+    """``toolgrid serve`` for a fresh listening config, in a child process;
+    yields the process and its port, and kills it on the way out."""
     cfg.mkdir(parents=True)
     save_config(NodeConfig(cfg, listen="127.0.0.1:0"))
     src = Path(toolgrid.__file__).resolve().parent.parent
@@ -423,7 +452,14 @@ def test_serve_takes_up_a_publish_and_frees_its_port_on_sigterm(cfg, make_node):
             lines.append(line)
             if line.rstrip() == "}":
                 break
-        port = json.loads("".join(lines))["port"]
+        yield proc, json.loads("".join(lines))["port"]
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_serve_takes_up_a_publish_and_frees_its_port_on_sigterm(cfg, make_node):
+    with serving(cfg) as (proc, port):
         peer = make_node("peer")
         peer.connect(("127.0.0.1", port))
 
@@ -438,11 +474,27 @@ def test_serve_takes_up_a_publish_and_frees_its_port_on_sigterm(cfg, make_node):
 
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=20)
-    finally:
-        proc.kill()
-        proc.wait()
     assert proc.returncode == 0, err
     socket.create_server(("127.0.0.1", port)).close()
+
+
+def test_serve_reload_skips_a_publication_it_cannot_make(cfg, make_node):
+    with serving(cfg) as (proc, port):
+        peer = make_node("peer")
+        peer.connect(("127.0.0.1", port))
+        integrated = invoke(cfg, "tool", "integrate", "--name", "wc", "--command",
+                            "wc -c ${in:text}", "--input", "text:file",
+                            "--output", "count:integer")
+        assert integrated.exit_code == 0, integrated.output
+        # gone@1 is not installed; it must not hold back wc@1
+        save_config(replace(load_config(cfg), published=[
+            Publication("gone@1", "PUBLIC"), Publication("wc@1", "PUBLIC")]))
+        assert wait_until(lambda: [str(r.ref) for r in peer.remote_components()]
+                          == ["wc@1"], timeout=5)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=20)
+    assert proc.returncode == 0, err
+    assert "config reload skipped" not in err
 
 
 def test_uplink_serve_rejects_bad_address(cfg, tmp_path):

@@ -156,6 +156,13 @@ def test_script_interface_and_handling(tmp_path):
     assert iface.output("y").datum_type is DatumType.FLOAT
 
 
+def test_a_script_output_spec_with_a_handling_is_bad_config():
+    # the handling was dropped without a word; the CLI form already refused it
+    with pytest.raises(ComponentConfigError) as err:
+        Script({"command": "run", "inputs": {}, "outputs": {"y": "float:constant"}})
+    assert err.value.code == "BAD_CONFIG"
+
+
 def test_script_tolerates_seed_keys_in_config():
     # loop bootstrap stores the seed under the endpoint's own name
     iface = Script({

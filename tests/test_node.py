@@ -702,6 +702,40 @@ def test_a_peer_offer_must_carry_a_plain_name(node):
     assert [str(r.ref) for r in node.remote_components()] == ["score@1"]
 
 
+MALFORMED_ENDPOINT_LISTS = {
+    "repeated-name": [{"name": "x", "type": "float"}, {"name": "x", "type": "text"}],
+    "unknown-key": [{"name": "x", "type": "float", "unit": "m"}],
+    "unknown-type": [{"name": "x", "type": "quaternion"}],
+    "not-a-list": {"x": "float"},
+}
+
+
+@pytest.mark.parametrize("inputs", MALFORMED_ENDPOINT_LISTS.values(),
+                         ids=MALFORMED_ENDPOINT_LISTS.keys())
+def test_a_peer_offer_with_a_malformed_endpoint_list_is_not_listed(node, inputs):
+    # descriptor files and announcements share one strict parse
+    for slot, (name, endpoints) in enumerate([("bad", inputs),
+                                              ("good", [{"name": "x", "type": "float"}])]):
+        node.registry.apply({
+            "publisher": "p" * 32, "sequence": 1, "group": PUBLIC,
+            "slot": str(slot), "payload": {"name": name, "version": "1",
+                                           "inputs": endpoints, "outputs": []}},
+            tombstone=False)
+    assert [str(r.ref) for r in node.remote_components()] == ["good@1"]
+
+
+def test_a_seed_outside_int64_fails_validation_before_the_run_opens(node):
+    # validation seeds through the engine's rule, so the run never opens
+    text = workflow("big-seed", [instance("s", "script@1", {
+        "command": "true", "inputs": {"x": "integer"}, "x": 2 ** 63})], [])
+    with pytest.raises(EngineError) as err:
+        node.start_run(text)
+    assert err.value.code == "VALIDATION_FAILED"
+    assert [(d.code, d.location) for d in err.value.diagnostics] == [
+        ("TYPE_MISMATCH", "components.s.x")]
+    assert node.store.list_runs() == []
+
+
 def test_a_peer_that_does_not_say_hello_is_refused(make_node):
     node = make_node("srv")
     port = node.listen("127.0.0.1", 0)

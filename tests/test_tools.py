@@ -1,8 +1,10 @@
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toolgrid.errors import DescriptorError, ToolExecutionError
 from toolgrid.store import BlobStore, sha256_hex
@@ -15,7 +17,9 @@ from toolgrid.tools import (
     scaffold_descriptor,
     select_command,
 )
-from toolgrid.values import Datum, DatumType
+from toolgrid.values import INT64_MAX, INT64_MIN, Datum, DatumType, scalar_datum
+from toolgrid.workflow import (ComponentInstance, ComponentInterface, ComponentRef,
+                               Endpoint, WorkflowGraph, validate_graph)
 
 from helpers import PRELUDE
 
@@ -393,3 +397,70 @@ def test_execute_env_passthrough(tmp_path, blobs, monkeypatch):
     monkeypatch.setenv("DEMO_FLAG", "on")
     outcome = execute_tool(d, {}, tmp_path / "w", blobs)
     assert outcome.outputs["v"] == Datum.text("on")
+
+
+# --- one scalar rule: seeds, tool outputs and scalar_datum agree -----------------
+
+SCALAR_TYPES = (DatumType.BOOLEAN, DatumType.INTEGER, DatumType.FLOAT, DatumType.TEXT)
+EDGE_SCALARS = [INT64_MIN - 1, INT64_MIN, INT64_MAX, INT64_MAX + 1, 2 ** 70, 10 ** 400,
+                True, False, 0, 1.5, -0.0, math.nan, math.inf, -math.inf, "", "1",
+                None, [], [1], {"a": 1}]
+JSON_SCALARS = st.one_of(st.sampled_from(EDGE_SCALARS), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=4), st.none(),
+                         st.lists(st.integers(), max_size=2))
+
+
+@pytest.fixture(scope="module")
+def rule_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("rule")
+
+
+def rule_fails(value, dtype) -> bool:
+    try:
+        scalar_datum(value, dtype)
+    except ValueError:
+        return True
+    return False
+
+
+def seed_codes(value, dtype) -> list[str]:
+    graph = WorkflowGraph(
+        "seeded", (ComponentInstance("t", ComponentRef("t", "1"), {"x": value}),), ())
+    interface = ComponentInterface((Endpoint("x", "input", dtype, "queued"),), ())
+    return [d.code for d in validate_graph(graph, lambda _: interface)]
+
+
+def output_code(value, dtype, where: Path):
+    """The error code of a tool whose outputs.json holds ``value``, or None."""
+    written = where / "outputs.json"
+    written.write_text(json.dumps({"y": value}))
+    tool = make_descriptor(f"cp {written} outputs.json",
+                           outputs=[{"name": "y", "type": dtype.value}])
+    try:
+        execute_tool(tool, {}, where / "work", BlobStore(where / "store"))
+    except ToolExecutionError as exc:
+        return exc.code
+    return None
+
+
+def assert_one_rule(value, where: Path) -> None:
+    for dtype in SCALAR_TYPES:
+        fails = rule_fails(value, dtype)
+        assert seed_codes(value, dtype) == (["TYPE_MISMATCH"] if fails else []), dtype
+        assert output_code(value, dtype, where) == (
+            "OUTPUT_TYPE_MISMATCH" if fails else None), dtype
+    # a file output is checked by its path (a missing one is OUTPUT_MISSING),
+    # so only the seed check and the rule must agree there
+    assert rule_fails(value, DatumType.FILE)
+    assert seed_codes(value, DatumType.FILE) == ["TYPE_MISMATCH"]
+
+
+@pytest.mark.parametrize("value", EDGE_SCALARS, ids=lambda v: repr(v)[:24])
+def test_seed_output_and_rule_agree_on_the_edges(value, rule_dir):
+    assert_one_rule(value, rule_dir)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(value=JSON_SCALARS)
+def test_seed_output_and_rule_agree(value, rule_dir):
+    assert_one_rule(value, rule_dir)
