@@ -18,7 +18,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -58,8 +58,7 @@ def _fail(exc: ToolgridError) -> None:
                        f"at {diagnostic.get('location')}: {diagnostic.get('message')}",
                        err=True)
         else:
-            click.echo(f"  {diagnostic.severity} {diagnostic.code} at "
-                       f"{diagnostic.location}: {diagnostic.message}", err=True)
+            click.echo(f"  {diagnostic}", err=True)
     sys.exit(_exit_code(exc))
 
 
@@ -553,12 +552,11 @@ def check(ctx: click.Context, workflow: Path) -> None:
     _, diagnostics = node.plan(parse_workflow(workflow.read_text()))
     errors = [d for d in diagnostics if d.severity == "error"]
     if ctx.obj["json"]:
-        click.echo(json.dumps({"diagnostics": [
-            {"severity": d.severity, "code": d.code, "location": d.location,
-             "message": d.message} for d in diagnostics]}, indent=2))
+        click.echo(json.dumps({"diagnostics": [asdict(d) for d in diagnostics]},
+                              indent=2))
     else:
         for d in diagnostics:
-            click.echo(f"{d.severity} {d.code} at {d.location}: {d.message}")
+            click.echo(str(d))
         if not diagnostics:
             click.echo("ok")
     if errors:

@@ -22,13 +22,14 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Union
 
 from .errors import ComponentConfigError, DataError, DescriptorError
 from .store import BlobStore
-from .tools import (ExecutionOutcome, ToolDescriptor, _check_placeholders, current_os,
+from .tools import (FiringResult, ToolDescriptor, _check_placeholders, current_os,
                     execute_tool)
 from .values import Datum, DatumType, infer_scalar_type, scalar_datum
 from .workflow import (IDENT_RE, ComponentInterface, ComponentRef, Endpoint,
@@ -45,20 +46,6 @@ class FiringContext:
     execution_index: int  # 1-based
     blobs: BlobStore
     work_root: Path
-
-
-@dataclass
-class FiringResult:
-    emissions: list[tuple[str, Datum]] = field(default_factory=list)
-    exit_status: int = 0
-    stdout_ref: Optional[str] = None
-    stderr_ref: Optional[str] = None
-
-    @classmethod
-    def of(cls, outcome: ExecutionOutcome) -> FiringResult:
-        """A tool run's outcome as its firing's result."""
-        return cls(list(outcome.outputs.items()), outcome.exit_status,
-                   outcome.stdout_ref, outcome.stderr_ref)
 
 
 # A behavior may hand back the result directly, or a thunk the engine runs on
@@ -207,14 +194,13 @@ class Script(Behavior):
                                 {e.name for e in inputs}, {e.name for e in outputs})
         except DescriptorError as exc:
             raise ComponentConfigError("BAD_CONFIG", str(exc)) from exc
+        self.interface = ComponentInterface(inputs, outputs)
         self._descriptor = ToolDescriptor("script", BUILTIN_VERSION,
-                                          {current_os(): command}, inputs, outputs)
-        self.interface = self._descriptor.interface()
+                                          {current_os(): command}, self.interface)
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
-        frozen = dict(inputs)
-        return lambda: FiringResult.of(
-            execute_tool(self._descriptor, frozen, ctx.work_root, ctx.blobs))
+        return partial(execute_tool, self._descriptor, dict(inputs),
+                       ctx.work_root, ctx.blobs)
 
 
 _OPERATORS: dict[str, Callable[[object, object], bool]] = {

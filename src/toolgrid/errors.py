@@ -52,8 +52,7 @@ class ToolExecutionError(ToolgridError):
 
     def __init__(self, code: str, message: str, stage: str | None = None,
                  exit_status: int | None = None, stdout_ref=None, stderr_ref=None,
-                 started_at: int | None = None, finished_at: int | None = None,
-                 workdir: str | None = None):
+                 started_at: int | None = None, finished_at: int | None = None):
         super().__init__(code, message)
         self.stage = stage
         self.exit_status = exit_status
@@ -61,7 +60,6 @@ class ToolExecutionError(ToolgridError):
         self.stderr_ref = stderr_ref
         self.started_at = started_at
         self.finished_at = finished_at
-        self.workdir = workdir
 
 
 class DataError(ToolgridError):

@@ -25,7 +25,7 @@ import time
 import uuid
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from queue import Empty, SimpleQueue
 from typing import Callable, Mapping, Optional, Sequence
@@ -43,8 +43,8 @@ from .groups import (PUBLIC, GroupKey, announcement_slot, decrypt_announcement,
                      encrypt_payload_json, load_group_keys, membership_proof,
                      new_challenge, save_group_key, verify_proof)
 from .store import RunStore
-from .tools import (ExecutionOutcome, ToolDescriptor, descriptor_to_json,
-                    execute_tool, parse_descriptor)
+from .tools import (ToolDescriptor, descriptor_to_json, execute_tool,
+                    parse_descriptor)
 from .values import Datum, DatumType, datum_from_json
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
 from .workflow import (IDENT_RE, VERSION_RE, ComponentInstance,
@@ -468,8 +468,11 @@ def _reply(queue: SimpleQueue, deadline: Optional[float] = None) -> Frame:
     return frame
 
 
-def _peer_error(error: Mapping, fallback: str) -> NetworkError:
-    """The error that an ``error`` document from a peer names."""
+def _peer_error(error: object, fallback: str) -> NetworkError:
+    """The error that an ``error`` document from a peer names, or TRANSPORT
+    when it is not a document."""
+    if not isinstance(error, Mapping):
+        return NetworkError("TRANSPORT", f"undecodable error {error!r}")
     return NetworkError(str(error.get("code", "TRANSPORT")),
                         str(error.get("message", fallback)))
 
@@ -523,9 +526,7 @@ def _failure(reply_type: int, exc: ToolgridError) -> dict:
     error = {"code": exc.code, "message": exc.message}
     if reply_type == wire.RUN_EVENT:
         return dict(error, kind="rejected", diagnostics=[
-            {"severity": d.severity, "code": d.code,
-             "location": d.location, "message": d.message}
-            for d in getattr(exc, "diagnostics", [])])
+            asdict(d) for d in getattr(exc, "diagnostics", [])])
     if isinstance(exc, ToolExecutionError):
         extra = {"stage": exc.stage, "exit_status": exc.exit_status,
                  "stdout": exc.stdout_ref, "stderr": exc.stderr_ref}
@@ -705,7 +706,7 @@ class Node:
             "version": descriptor.version,
             "doc_digest": hashlib.sha256(doc.encode()).hexdigest(),
         }
-        plain.update(interface_to_json(descriptor.interface()))
+        plain.update(interface_to_json(descriptor.interface))
         if publication.group_key is None:
             return descriptor.name, plain
         material = publication.group_key.material
@@ -815,12 +816,12 @@ class Node:
         # a departed peer can no longer serve what it offered
         self.registry.forget(session)
 
-    def ping(self, node_id: str, timeout: float = PING_TIMEOUT) -> bool:
+    def ping(self, node_id: str) -> bool:
         session = self.session_for(node_id)
         if session is None:
             return False
         try:
-            frame = session.request(wire.PING, {}, time.monotonic() + timeout)
+            frame = session.request(wire.PING, {}, time.monotonic() + PING_TIMEOUT)
         except NetworkError:
             return False
         return frame.type == wire.PONG
@@ -965,7 +966,7 @@ class Node:
             send_logs(exc)
             raise
         send_logs(outcome)
-        for datum in outcome.outputs.values():
+        for _, datum in outcome.emissions:
             if datum.type is DatumType.FILE:
                 digest = datum.value.digest
                 channel.send_chunks(wire.BLOB_CHUNK, {
@@ -974,8 +975,7 @@ class Node:
         return {
             "status": "ok",
             "exit_status": outcome.exit_status,
-            "outputs": {name: datum.to_json()
-                        for name, datum in outcome.outputs.items()},
+            "outputs": {name: datum.to_json() for name, datum in outcome.emissions},
             "stdout": outcome.stdout_ref,
             "stderr": outcome.stderr_ref,
             "started_at": outcome.started_at,
@@ -1009,7 +1009,7 @@ class Node:
         raise NetworkError("UNREACHABLE", f"no route to node {publisher[:12]}")
 
     def remote_execute(self, publisher: str, component: str, group: str,
-                       inputs: Mapping[str, Datum]) -> ExecutionOutcome:
+                       inputs: Mapping[str, Datum]) -> FiringResult:
         """Run a peer's published tool; blobs and logs travel chunked.
 
         Waits as long as the tool runs; only the result or the end of the
@@ -1039,10 +1039,14 @@ class Node:
                     "role": "input"}, self.blobs.get(digest))
             while (frame := _reply(queue)).type != wire.EXEC_RESULT:
                 if frame.type == wire.CHALLENGE:
-                    nonce = bytes.fromhex(str((frame.body or {}).get("nonce", "")))
                     key = self.group_keys.get(group)
                     mac_key = key.material.mac_key if key is not None else ZERO_MAC_KEY
-                    tag = membership_proof(mac_key, nonce, request_digest)
+                    try:
+                        nonce = bytes.fromhex(str((frame.body or {}).get("nonce", "")))
+                        tag = membership_proof(mac_key, nonce, request_digest)
+                    except (ValueError, CryptoError) as exc:
+                        raise NetworkError("TRANSPORT",
+                                           f"undecodable challenge: {exc}") from exc
                     reply: dict = {"request_id": request_id, "tag": tag.hex()}
                     if target is not None:
                         reply["target"] = target
@@ -1055,8 +1059,9 @@ class Node:
 
         for data in chunks.blobs.values():
             self.blobs.put(data)
-        stdout_ref = self.blobs.put(bytes(chunks.logs["stdout"]))
-        stderr_ref = self.blobs.put(bytes(chunks.logs["stderr"]))
+        # the host's log digests must name the logs it streamed
+        logs = (self.blobs.put(bytes(chunks.logs["stdout"])),
+                self.blobs.put(bytes(chunks.logs["stderr"])))
 
         if result.get("status") != "ok":
             error = result.get("error") or {}
@@ -1064,30 +1069,31 @@ class Node:
             if failure.code in ("AUTH_FAILED", "UNKNOWN_COMPONENT", "TRANSPORT",
                                 "BAD_REQUEST"):
                 raise failure
+            # a failure before the tool ran names no logs
+            named = (error.get("stdout"), error.get("stderr"))
+            if any(ref not in (None, stored) for ref, stored in zip(named, logs)):
+                raise NetworkError("TRANSPORT", "log digests do not match the error")
             raise ToolExecutionError(
                 failure.code, failure.message, stage=error.get("stage"),
                 exit_status=error.get("exit_status"),
-                stdout_ref=error.get("stdout"), stderr_ref=error.get("stderr"))
+                stdout_ref=named[0], stderr_ref=named[1])
 
         try:
-            outputs = {name: datum_from_json(doc)
-                       for name, doc in dict(result.get("outputs", {})).items()}
+            emissions = [(name, datum_from_json(doc))
+                         for name, doc in dict(result.get("outputs", {})).items()]
             exit_status, started_at, finished_at = (
                 int(result.get(key, 0))
                 for key in ("exit_status", "started_at", "finished_at"))
         except (ValueError, TypeError, KeyError) as exc:
             raise NetworkError("TRANSPORT", f"undecodable result: {exc}") from exc
-        for datum in outputs.values():
+        for _, datum in emissions:
             if datum.type is DatumType.FILE and not self.blobs.has(datum.value.digest):
                 raise NetworkError(
                     "TRANSPORT",
                     f"output blob {datum.value.digest[:12]} never arrived")
-        if result.get("stdout") != stdout_ref or result.get("stderr") != stderr_ref:
+        if (result.get("stdout"), result.get("stderr")) != logs:
             raise NetworkError("TRANSPORT", "log digests do not match the result")
-        return ExecutionOutcome(
-            exit_status=exit_status, outputs=outputs, stdout_ref=stdout_ref,
-            stderr_ref=stderr_ref, started_at=started_at, finished_at=finished_at,
-            workdir="")
+        return FiringResult(emissions, exit_status, *logs, started_at, finished_at)
 
     def request_documentation(self, publisher: str, component: str,
                               group: str) -> str:
@@ -1107,8 +1113,11 @@ class Node:
         key = self.group_keys.get(group)
         if key is None:
             raise CryptoError("DECRYPT_FAILED", f"no key held for group {group}")
-        return decrypt_announcement(base64.b64decode(doc),
-                                    key.material.enc_key).decode()
+        try:
+            return decrypt_announcement(base64.b64decode(doc),
+                                        key.material.enc_key).decode()
+        except ValueError as exc:  # not base64, or not UTF-8 once decrypted
+            raise NetworkError("TRANSPORT", f"undecodable documentation: {exc}") from exc
 
     # -- controller duties ---------------------------------------------------------
 
@@ -1156,7 +1165,7 @@ class Node:
                                        offer.interface)
             elif (descriptor := self.descriptor(str(ref))) is not None:
                 behavior = _PlacedTool(self, target, str(ref), PUBLIC,
-                                       descriptor.interface())
+                                       descriptor.interface)
             else:
                 return None
             plans.append(InstancePlan(instance, target, behavior))
@@ -1199,7 +1208,7 @@ class Node:
     # -- placed tools ------------------------------------------------------------------
 
     def execute(self, node_id: str, component: str, group: str,
-                inputs: Mapping[str, Datum]) -> ExecutionOutcome:
+                inputs: Mapping[str, Datum]) -> FiringResult:
         """Run ``component`` on ``node_id``: this node's own tool, or a peer's
         offer to ``group``."""
         if node_id == self.node_id:
@@ -1281,9 +1290,13 @@ class Node:
                 body = frame.body or {}
                 kind = body.get("kind")
                 if kind == "rejected":
+                    diagnostics = body.get("diagnostics", [])
+                    if not isinstance(diagnostics, list) or not all(
+                            isinstance(d, dict) for d in diagnostics):
+                        raise NetworkError("TRANSPORT", "undecodable diagnostics")
                     failure = EngineError(str(body.get("code", "REJECTED")),
                                           str(body.get("message", "run rejected")))
-                    failure.diagnostics = body.get("diagnostics", [])
+                    failure.diagnostics = diagnostics
                     raise failure
                 if kind == "accepted":
                     run_id = str(body.get("run_id"))
@@ -1301,12 +1314,14 @@ class Node:
             session.drop_queue(request_id)
 
     def query_runs(self, controller: str) -> list[dict]:
-        return self._data_query(controller, {"query": "runs"}).get("runs", [])
+        return self._data_query(controller, {"query": "runs"}, runs=list)["runs"]
 
     def query_run_records(self, controller: str, run_id: str) -> dict:
-        return self._data_query(controller, {"query": "run", "run_id": run_id})
+        return self._data_query(controller, {"query": "run", "run_id": run_id},
+                                meta=dict, records=list, events=list)
 
-    def _data_query(self, controller: str, query: dict) -> dict:
+    def _data_query(self, controller: str, query: dict, **shape: type) -> dict:
+        """The DATA_RESULT for ``query``, whose keys hold the types in ``shape``."""
         session = self.session_for(controller)
         if session is None:
             raise NetworkError("UNREACHABLE", f"no session to {controller[:12]}")
@@ -1316,6 +1331,8 @@ class Node:
         reply = frame.body or {}
         if reply.get("error"):
             raise _peer_error(reply["error"], "query failed")
+        if not all(isinstance(reply.get(key), kind) for key, kind in shape.items()):
+            raise NetworkError("TRANSPORT", "undecodable data result")
         return reply
 
 
@@ -1331,6 +1348,6 @@ class _PlacedTool(Behavior):
         self.interface = interface
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
-        return lambda: FiringResult.of(self._node.execute(
-            self._target, self._component, self._group, inputs))
+        return lambda: self._node.execute(self._target, self._component,
+                                          self._group, inputs)
 

@@ -20,7 +20,6 @@ import os
 import re
 import threading
 import uuid
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Optional, TextIO
@@ -84,13 +83,12 @@ class BlobStore:
                     yield entry.name
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
     """One component firing: what went in, what came out, and from where.
 
     ``upstream`` maps each input endpoint to the producing record
     (instance_id, execution_index, output name), or null for values seeded
-    by instance config.
+    by instance config. Its JSON keys are ``kind``, then these fields.
     """
 
     seq: int
@@ -110,35 +108,15 @@ class ExecutionRecord:
     upstream: Mapping[str, object] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "kind": "execution",
-            "seq": self.seq,
-            "instance_id": self.instance_id,
-            "execution_index": self.execution_index,
-            "component": self.component,
-            "node": self.node,
-            "status": self.status,
-            "exit_status": self.exit_status,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
-            "stdout": self.stdout,
-            "stderr": self.stderr,
-            "error": dict(self.error) if self.error else None,
-            "upstream": dict(self.upstream) if self.upstream else {},
-        }
+        return {"kind": "execution", **self._asdict(),
+                "inputs": dict(self.inputs), "outputs": dict(self.outputs),
+                "error": dict(self.error) if self.error else None,
+                "upstream": dict(self.upstream) if self.upstream else {}}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "ExecutionRecord":
-        return cls(
-            seq=doc["seq"], instance_id=doc["instance_id"],
-            execution_index=doc["execution_index"], component=doc["component"],
-            node=doc["node"], status=doc["status"], exit_status=doc.get("exit_status"),
-            started_at=doc["started_at"], finished_at=doc["finished_at"],
-            inputs=doc["inputs"], outputs=doc["outputs"],
-            stdout=doc.get("stdout"), stderr=doc.get("stderr"), error=doc.get("error"),
-            upstream=doc.get("upstream") or {})
+        record = cls._make(map(doc.get, cls._fields))
+        return record if record.upstream else record._replace(upstream={})
 
 
 def _blob_refs(record: ExecutionRecord) -> set[str]:

@@ -25,7 +25,7 @@ import re
 import subprocess
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -49,31 +49,28 @@ class ToolDescriptor:
     name: str
     version: str
     commands: Mapping[str, str]  # os key -> command template
-    inputs: tuple[Endpoint, ...]
-    outputs: tuple[Endpoint, ...]
+    interface: ComponentInterface
     pre_script: Optional[str] = None
     post_script: Optional[str] = None
     documentation: Optional[str] = None
 
-    def interface(self) -> ComponentInterface:
-        return ComponentInterface(self.inputs, self.outputs)
 
-    def input(self, name: str) -> Optional[Endpoint]:
-        return next((e for e in self.inputs if e.name == name), None)
+@dataclass(slots=True)
+class FiringResult:
+    """What one firing produced: its emissions, in order, and for a tool run
+    its exit status, log digests, stamps and working directory."""
 
-    def output(self, name: str) -> Optional[Endpoint]:
-        return next((e for e in self.outputs if e.name == name), None)
+    emissions: list[tuple[str, Datum]] = field(default_factory=list)
+    exit_status: int = 0
+    stdout_ref: Optional[str] = None
+    stderr_ref: Optional[str] = None
+    started_at: Optional[int] = None
+    finished_at: Optional[int] = None
+    workdir: Optional[str] = None
 
-
-@dataclass(frozen=True)
-class ExecutionOutcome:
-    exit_status: int
-    outputs: Mapping[str, Datum]
-    stdout_ref: str
-    stderr_ref: str
-    started_at: int
-    finished_at: int
-    workdir: str
+    @property
+    def outputs(self) -> dict[str, Datum]:
+        return dict(self.emissions)
 
 
 def _check_placeholders(template: str, where: str,
@@ -130,7 +127,6 @@ def parse_descriptor(text: str) -> ToolDescriptor:
         raise DescriptorError("MISSING_COMMAND", "descriptor declares no OS command")
 
     interface = interface_from_json(doc)
-    inputs, outputs = interface.inputs, interface.outputs
 
     pre_script = doc.get("preScript")
     post_script = doc.get("postScript")
@@ -140,8 +136,8 @@ def parse_descriptor(text: str) -> ToolDescriptor:
         if value is not None and not isinstance(value, str):
             raise DescriptorError("SYNTAX", f"{label} must be text")
 
-    in_names = {e.name for e in inputs}
-    out_names = {e.name for e in outputs}
+    in_names = {e.name for e in interface.inputs}
+    out_names = {e.name for e in interface.outputs}
     for os_key, template in commands.items():
         _check_placeholders(template, f"commands.{os_key}", in_names, out_names)
     if pre_script:
@@ -149,7 +145,7 @@ def parse_descriptor(text: str) -> ToolDescriptor:
     if post_script:
         _check_placeholders(post_script, "postScript", in_names, out_names)
 
-    return ToolDescriptor(name, version, commands, inputs, outputs,
+    return ToolDescriptor(name, version, commands, interface,
                           pre_script, post_script, documentation)
 
 
@@ -159,7 +155,7 @@ def descriptor_to_json(descriptor: ToolDescriptor) -> str:
         "version": descriptor.version,
         "commands": dict(descriptor.commands),
     }
-    doc.update(interface_to_json(descriptor.interface()))
+    doc.update(interface_to_json(descriptor.interface))
     if descriptor.pre_script is not None:
         doc["preScript"] = descriptor.pre_script
     if descriptor.post_script is not None:
@@ -189,16 +185,11 @@ def scaffold_descriptor(name: str, version: str, command: str,
                     "SYNTAX", f"bad {direction} spec {spec!r}: {exc}") from exc
         return tuple(out)
 
-    doc: dict = {
-        "name": name,
-        "version": version,
-        "commands": {os_key or current_os(): command},
-    }
-    doc.update(interface_to_json(ComponentInterface(
-        endpoints(input_specs, "input"), endpoints(output_specs, "output"))))
-    if documentation is not None:
-        doc["documentation"] = documentation
-    text = json.dumps(doc, indent=2) + "\n"
+    text = descriptor_to_json(ToolDescriptor(
+        name, version, {os_key or current_os(): command},
+        ComponentInterface(endpoints(input_specs, "input"),
+                           endpoints(output_specs, "output")),
+        documentation=documentation))
     parse_descriptor(text)  # reject bad answers before anything is written
     return text
 
@@ -267,7 +258,7 @@ def _coerce_output(name: str, declared: Endpoint, value, workdir: Path,
 
 
 def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
-                 workdir_root: Path, blobs: BlobStore) -> ExecutionOutcome:
+                 workdir_root: Path, blobs: BlobStore) -> FiringResult:
     """Run one tool firing in a fresh working directory.
 
     Raises ToolExecutionError carrying the failed stage, exit status, and
@@ -275,7 +266,7 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
     """
     main_template = select_command(descriptor, current_os())
 
-    declared = {e.name: e for e in descriptor.inputs}
+    declared = {e.name: e for e in descriptor.interface.inputs}
     if set(inputs) != set(declared):
         raise ToolExecutionError(
             "INPUT_MISMATCH",
@@ -316,8 +307,7 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
         out_ref, err_ref = flush_streams()
         return ToolExecutionError(code, message, stage=stage, exit_status=status,
                                   stdout_ref=out_ref, stderr_ref=err_ref,
-                                  started_at=started_at, finished_at=_now_ms(),
-                                  workdir=str(workdir))
+                                  started_at=started_at, finished_at=_now_ms())
 
     stages = [("pre", descriptor.pre_script), ("main", main_template),
               ("post", descriptor.post_script)]
@@ -337,8 +327,8 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
                        f"{stage} stage exited with status {proc.returncode}",
                        stage, proc.returncode)
 
-    outputs: dict[str, Datum] = {}
-    if descriptor.outputs:
+    emissions: list[tuple[str, Datum]] = []
+    if descriptor.interface.outputs:
         outputs_path = workdir / "outputs.json"
         if not outputs_path.is_file():
             raise fail("OUTPUT_MISSING", "tool wrote no outputs.json", "main", 0)
@@ -349,17 +339,17 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
                        "main", 0) from exc
         if not isinstance(outputs_doc, dict):
             raise fail("OUTPUT_MISSING", "outputs.json must be an object", "main", 0)
-        for endpoint in descriptor.outputs:
+        for endpoint in descriptor.interface.outputs:
             if endpoint.name not in outputs_doc:
                 raise fail("OUTPUT_MISSING",
                            f"declared output {endpoint.name!r} absent from outputs.json",
                            "main", 0)
             try:
-                outputs[endpoint.name] = _coerce_output(
-                    endpoint.name, endpoint, outputs_doc[endpoint.name], workdir, blobs)
+                emissions.append((endpoint.name, _coerce_output(
+                    endpoint.name, endpoint, outputs_doc[endpoint.name], workdir, blobs)))
             except ToolExecutionError as exc:
                 raise fail(exc.code, exc.message, "main", 0) from exc
 
     stdout_ref, stderr_ref = flush_streams()
-    return ExecutionOutcome(0, outputs, stdout_ref, stderr_ref,
-                            started_at, _now_ms(), str(workdir))
+    return FiringResult(emissions, 0, stdout_ref, stderr_ref,
+                        started_at, _now_ms(), str(workdir))

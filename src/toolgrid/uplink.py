@@ -42,6 +42,8 @@ ALLOWLIST = frozenset({
 
 BACKOFF_START = 0.1
 BACKOFF_CAP = 2.0
+# how long start() waits for a link its first attempt did not bring up
+CONNECT_WAIT = 5.0
 
 # the in-memory relay transcript keeps this many newest lines; every line
 # also goes to the logger
@@ -264,7 +266,7 @@ class UplinkLink(Channel):
     def connected(self) -> bool:
         return self._connected.is_set()
 
-    def start(self, wait: float = 5.0) -> None:
+    def start(self) -> None:
         """Bring the link up; raises on authentication failure."""
         try:
             self._connect_once()
@@ -275,7 +277,7 @@ class UplinkLink(Channel):
         threading.Thread(target=self._run, daemon=True,
                          name=f"uplink-{self.client_id}").start()
         if not self._connected.is_set():
-            self._connected.wait(wait)
+            self._connected.wait(CONNECT_WAIT)
 
     def stop(self) -> None:
         self._stopping.set()

@@ -7,6 +7,7 @@ working-directory contract.
 """
 
 import json
+import re
 import socket
 import threading
 import time
@@ -118,3 +119,19 @@ def grid_loop(name: str, evals: int) -> str:
                    "tol": 1e-3, "max_evals": evals}),
          instance("gate", "switch@1", {"condition": ">= -1.0"})],
         [edge("opt.x", "gate.value"), edge("gate.true", "opt.objective")])
+
+
+_STAMP_RE = re.compile(r'"(at|started_at|finished_at)": (\d+)')
+
+
+def normalise_records(text: str, labels: dict) -> str:
+    """A run's records.log with what differs between two runs of it replaced:
+    each stamp (``at``, ``started_at``, ``finished_at``) by its rank among the
+    run's stamps and each node id in ``labels`` by its label. Everything
+    else, key order and blob digests included, is kept byte for byte."""
+    stamps = sorted({int(match[2]) for match in _STAMP_RE.finditer(text)})
+    rank = {stamp: n for n, stamp in enumerate(stamps)}
+    text = _STAMP_RE.sub(lambda match: f'"{match[1]}": {rank[int(match[2])]}', text)
+    for node_id, label in labels.items():
+        text = text.replace(node_id, label)
+    return text

@@ -12,9 +12,9 @@ from toolgrid import node as node_module
 from toolgrid import wire
 from toolgrid.config import PROTOCOL_VERSION, UplinkSettings
 from toolgrid.errors import NetworkError, ToolgridError
-from toolgrid.groups import PUBLIC
+from toolgrid.groups import PUBLIC, new_group_key
 from toolgrid.node import PeerSession
-from toolgrid.store import sha256_hex
+from toolgrid.store import _blob_refs, sha256_hex
 from toolgrid.uplink import UplinkLink
 from toolgrid.values import Datum
 from toolgrid.wire import MAX_FRAME, Frame, FrameReader
@@ -266,3 +266,83 @@ def test_a_run_through_an_undecodable_exec_result_fails_as_transport(make_node):
         "remote", [instance("t", "fake@1", {"x": 1})], []))
     assert engine.wait(10) == "FAILED"
     assert engine.failure["code"] == "TRANSPORT"
+
+
+def _host_that_answers(make_node, reply_type, reply):
+    """A caller node linked over a socketpair to a fake host that offers
+    fake@1 and answers every request with a ``reply_type`` frame whose body is
+    ``reply`` and the request's id."""
+    host_id = "f" * 32
+    ours, theirs = socket.socketpair()
+    theirs.sendall(wire.encode_frame(Frame(wire.HELLO, {
+        "protocol_version": PROTOCOL_VERSION, "node_id": host_id})))
+    caller = make_node("caller")
+    caller.attach(ours)
+    theirs.sendall(wire.encode_frame(Frame(wire.ANNOUNCE, {
+        "publisher": host_id, "sequence": 1, "group": PUBLIC, "slot": "fake",
+        "payload": {"name": "fake", "version": "1", "inputs": [], "outputs": []}})))
+
+    def serve():
+        reader = FrameReader(theirs.recv)
+        with theirs:
+            while (frame := reader.next_frame()) is not None:
+                if "request_id" in (frame.body or {}):
+                    theirs.sendall(wire.encode_frame(Frame(reply_type, dict(
+                        reply, request_id=frame.body["request_id"]))))
+
+    threading.Thread(target=serve, daemon=True).start()
+    assert wait_until(lambda: caller.remote_components())
+    return caller, host_id
+
+
+# each request a caller makes of a host, given the host and the group
+REQUESTS = {
+    "exec": lambda caller, host, group: caller.remote_execute(host, "fake@1", group, {}),
+    "doc": lambda caller, host, group: caller.request_documentation(host, "fake@1",
+                                                                    group),
+    "runs": lambda caller, host, _: caller.query_runs(host),
+    "run": lambda caller, host, _: caller.query_run_records(host, "r1"),
+    "submit": lambda caller, host, _: caller.submit_run(host, "{}"),
+}
+
+# request, reply type, reply body: each reply is one the caller cannot read
+UNREADABLE_REPLIES = {
+    "challenge-nonce-not-hex": ("exec", wire.CHALLENGE, {"nonce": "zz"}),
+    "challenge-nonce-too-short": ("exec", wire.CHALLENGE, {"nonce": "abcd"}),
+    "exec-error-is-text": ("exec", wire.EXEC_RESULT,
+                           {"status": "failed", "error": "boom"}),
+    "doc-error-is-text": ("doc", wire.DOC_RESPONSE, {"ok": False, "error": "boom"}),
+    "doc-not-base64": ("doc", wire.DOC_RESPONSE,
+                       {"ok": True, "encrypted": True, "doc": "abc"}),
+    "data-error-is-text": ("runs", wire.DATA_RESULT, {"error": "boom"}),
+    "data-runs-not-a-list": ("runs", wire.DATA_RESULT, {"runs": 5}),
+    "data-records-not-a-list": ("run", wire.DATA_RESULT,
+                                {"meta": {}, "records": 5, "events": []}),
+    "run-diagnostics-are-text": ("submit", wire.RUN_EVENT, {
+        "kind": "rejected", "code": "VALIDATION_FAILED", "message": "no",
+        "diagnostics": "bad"}),
+}
+
+
+@pytest.mark.parametrize("request_kind, reply_type, reply", UNREADABLE_REPLIES.values(),
+                         ids=UNREADABLE_REPLIES.keys())
+def test_a_reply_the_caller_cannot_read_ends_the_call_as_transport(
+        request_kind, reply_type, reply, make_node):
+    caller, host_id = _host_that_answers(make_node, reply_type, reply)
+    key = new_group_key("team")
+    caller.add_group_key(key)  # lets the encrypted documentation be read
+    with pytest.raises(NetworkError) as err:
+        REQUESTS[request_kind](caller, host_id, key.key_id)
+    assert err.value.code == "TRANSPORT"
+
+
+def test_a_failed_remote_firing_records_only_the_logs_it_received(make_node):
+    """The host names a stdout it never sent; the record names no such blob."""
+    caller, _ = _host_that_answers(make_node, wire.EXEC_RESULT, {
+        "status": "failed", "error": {"code": "TOOL_FAILED", "message": "exit 1",
+                                      "exit_status": 1, "stdout": "a" * 64}})
+    engine = caller.start_run(workflow("remote", [instance("t", "fake@1")], []))
+    assert engine.wait(10) == "FAILED"
+    [record] = caller.store.query_run(engine.run_id)
+    assert record.status == "failed" and record.error["code"] == "TRANSPORT"
+    assert all(caller.blobs.has(digest) for digest in _blob_refs(record))

@@ -1,0 +1,70 @@
+"""Golden records: small runs whose records.log must stay the same bytes.
+
+Each test runs a workflow, normalises its records.log (see
+``helpers.normalise_records``) and compares it with a file under
+``tests/golden/``. Set TOOLGRID_REGENERATE_GOLDEN=1 to rewrite the files
+from the current code instead; a change that does so says why.
+"""
+
+import os
+from pathlib import Path
+
+from helpers import (edge, grid_loop, instance, link_nodes,
+                     normalise_records, script_config, wait_until, workflow,
+                     write_tool)
+from test_node import stamp_descriptor
+
+GOLDEN = Path(__file__).parent / "golden"
+REGENERATE = os.environ.get("TOOLGRID_REGENERATE_GOLDEN") == "1"
+
+
+def records_log(node, workflow_text: str) -> tuple[str, str]:
+    """Run ``workflow_text`` on ``node``: its end state and records.log text."""
+    engine = node.start_run(workflow_text)
+    state = engine.wait(30)
+    return state, (node.config.store_dir / "runs" / engine.run_id
+                   / "records.log").read_text()
+
+
+def check_golden(name: str, text: str) -> None:
+    path = GOLDEN / name
+    if REGENERATE:
+        path.write_text(text)
+    assert text == path.read_text()
+
+
+def test_a_grid_loop_records_the_golden_log(node):
+    state, text = records_log(node, grid_loop("golden-grid", 20))
+    assert state == "COMPLETED"
+    check_golden("grid_loop.log", normalise_records(text, {node.node_id: "solo"}))
+
+
+def test_a_failing_script_records_the_golden_log(node, tmp_path):
+    script = write_tool(tmp_path / "fail.py", (
+        "sys.stderr.write('no convergence\\n')\n"
+        "sys.exit(3)\n"))
+    state, text = records_log(node, workflow(
+        "golden-script", [instance("fail", "script@1", script_config(script, {}, {}))],
+        []))
+    assert state == "FAILED"
+    check_golden("script_failure.log", normalise_records(text, {node.node_id: "solo"}))
+
+
+def test_a_lan_file_tool_records_the_golden_log(make_node, tmp_path):
+    host, controller = make_node("host"), make_node("controller")
+    link_nodes(host, controller)
+    host.install_descriptor(stamp_descriptor(tmp_path))
+    host.publish("stamp@1")
+    assert wait_until(lambda: controller.remote_components())
+    source = tmp_path / "in.txt"
+    source.write_bytes(b"payload line\n")
+    state, text = records_log(controller, workflow(
+        "golden-lan",
+        [instance("src", "input-provider@1", {"files": {"data": str(source)}}),
+         instance("stamp", "stamp@1", placement=host.node_id),
+         instance("sink", "output-writer@1",
+                  {"target": str(tmp_path / "out"), "inputs": {"f": "file"}})],
+        [edge("src.data", "stamp.src"), edge("stamp.dst", "sink.f")]))
+    assert state == "COMPLETED"
+    check_golden("lan_file_tool.log", normalise_records(
+        text, {controller.node_id: "controller", host.node_id: "host"}))

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -597,3 +599,10 @@ def test_node_stop_closes_the_handles_of_open_runs(make_node):
     reader = RunStore(node.config.store_dir)
     assert reader.run_state("r1") == "RUNNING"
     assert [e["event"] for e in reader.events("r1")] == ["run-started"]
+
+
+def test_the_readme_lists_the_execution_record_keys_in_field_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    item = re.search(r"the execution record: `\{(.*?)\}`", readme, re.S)[1]
+    keys = [part.split(":")[0].strip().strip('"') for part in item.split(",")]
+    assert keys == ["kind", *ExecutionRecord._fields]

@@ -63,9 +63,9 @@ def test_parse_descriptor_full_document():
     d = parse_descriptor(text)
     assert d.name == "meshtool" and d.version == "2.4"
     assert set(d.commands) == {"linux", "windows"}
-    assert d.input("grid").handling == "queued"  # default for inputs
-    assert d.input("refine").handling == "constant"
-    assert d.output("mesh").datum_type is DatumType.FILE
+    assert d.interface.input("grid").handling == "queued"  # default for inputs
+    assert d.interface.input("refine").handling == "constant"
+    assert d.interface.output("mesh").datum_type is DatumType.FILE
     assert d.documentation == "Refines structured grids."
 
 
@@ -133,8 +133,8 @@ def test_scaffold_descriptor():
         ["image:file", "scale:float:constant"], ["thumb:file"],
         os_key="linux", documentation="Makes thumbnails.")
     d = parse_descriptor(text)
-    assert d.input("image").handling == "queued"
-    assert d.input("scale").handling == "constant"
+    assert d.interface.input("image").handling == "queued"
+    assert d.interface.input("scale").handling == "constant"
     assert d.commands == {"linux": "conv ${in:image} ${out:thumb}"}
 
     with pytest.raises(DescriptorError):
