@@ -6,13 +6,18 @@ Each test runs a workflow, normalises its records.log (see
 from the current code instead; a change that does so says why.
 """
 
+import json
 import os
 from pathlib import Path
 
-from helpers import (edge, grid_loop, instance, link_nodes,
+from toolgrid.groups import new_group_key
+from toolgrid.tools import parse_descriptor
+
+from helpers import (BABYLONIAN_BODY, edge, grid_loop, instance, link_nodes,
                      normalise_records, script_config, wait_until, workflow,
                      write_tool)
-from test_node import stamp_descriptor
+from test_node import PY, identity_descriptor, stamp_descriptor
+from test_uplink import TOKENS, uplinked
 
 GOLDEN = Path(__file__).parent / "golden"
 REGENERATE = os.environ.get("TOOLGRID_REGENERATE_GOLDEN") == "1"
@@ -68,3 +73,56 @@ def test_a_lan_file_tool_records_the_golden_log(make_node, tmp_path):
     assert state == "COMPLETED"
     check_golden("lan_file_tool.log", normalise_records(
         text, {controller.node_id: "controller", host.node_id: "host"}))
+
+
+def test_a_failing_lan_tool_records_the_golden_log(make_node, tmp_path):
+    host, controller = make_node("host"), make_node("controller")
+    link_nodes(host, controller)
+    script = write_tool(tmp_path / "fail.py", (
+        "sys.stderr.write('no convergence\\n')\n"
+        "sys.exit(4)\n"))
+    host.install_descriptor(parse_descriptor(json.dumps({
+        "name": "fails", "version": "1",
+        "commands": {"linux": f"{PY} {script} ${{workdir}}"},
+        "inputs": [], "outputs": []})))
+    host.publish("fails@1")
+    assert wait_until(lambda: controller.remote_components())
+    state, text = records_log(controller, workflow(
+        "golden-lan-failure", [instance("fail", "fails@1", placement=host.node_id)],
+        []))
+    assert state == "FAILED"
+    check_golden("lan_tool_failure.log", normalise_records(
+        text, {controller.node_id: "controller", host.node_id: "host"}))
+
+
+def test_a_group_tool_through_the_relay_records_the_golden_log(
+        make_node, make_relay, tmp_path):
+    _, port = make_relay(TOKENS)
+    host = uplinked(make_node, port, "acme", "host")
+    controller = uplinked(make_node, port, "beta", "controller")
+    key = new_group_key("exchange")
+    host.add_group_key(key)
+    controller.add_group_key(key)
+    host.install_descriptor(identity_descriptor(tmp_path))
+    host.publish("identity@1", group="exchange")
+    assert wait_until(lambda: controller.remote_components())
+    state, text = records_log(controller, workflow(
+        "golden-relay",
+        [instance("src", "input-provider@1", {"values": {"x": 4}}),
+         instance("echo", "acme::identity@1")],
+        [edge("src.x", "echo.x")]))
+    assert state == "COMPLETED"
+    check_golden("relay_group_tool.log", normalise_records(
+        text, {controller.node_id: "controller", host.node_id: "host"}))
+
+
+def test_a_converger_loop_records_the_golden_log(node, tmp_path):
+    step = write_tool(tmp_path / "bab.py", BABYLONIAN_BODY)
+    state, text = records_log(node, workflow(
+        "golden-converger",
+        [instance("conv", "converger@1", {"eps_abs": 1e-6, "max_iterations": 20}),
+         instance("step", "script@1",
+                  script_config(step, {"x": "float"}, {"y": "float"}, x=1.0))],
+        [edge("conv.loop", "step.x"), edge("step.y", "conv.x")]))
+    assert state == "COMPLETED"
+    check_golden("converger_loop.log", normalise_records(text, {node.node_id: "solo"}))

@@ -1,12 +1,14 @@
-"""Every name a toolgrid module imports is used in that module, and every
-import sits at module level.
+"""Every name a toolgrid module imports is used in that module, every
+import sits at module level, and no private definition is dead.
 
-Stdlib stand-ins for two linter rules. The unused-import rule (F401): an
+Stdlib stand-ins for three linter rules. The unused-import rule (F401): an
 import that a refactor left behind fails here. A statement marked
 ``# noqa: F401`` is skipped, and so is ``from __future__``; a package's
 ``__all__`` counts as use. The import-outside-toplevel rule (PLC0415): an
 import inside a function body fails here unless it is marked
-``# noqa: PLC0415``, which is kept for breaking a real import cycle.
+``# noqa: PLC0415``, which is kept for breaking a real import cycle. The
+dead-code rule (as vulture has it): a ``_``-prefixed function, method or class
+that nothing in the package names fails here; dunder methods are exempt.
 """
 
 import ast
@@ -75,3 +77,38 @@ def test_the_nested_import_check_sees_a_function_body(tmp_path):
     module.write_text("def f():\n    import os\n    return os\n\n\n"
                       "def g():\n    import sys  # noqa: PLC0415\n    return sys\n")
     assert nested_imports(module) == ["sample.py:2"]
+
+
+def unnamed_private_definitions(paths: list[Path]) -> list[str]:
+    """Each ``_``-prefixed function, method or class defined in ``paths``
+    whose name appears nowhere in ``paths`` but in its own definition."""
+    defined: list[tuple[str, str]] = []
+    named: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [f"{where} {name}" for where, name in defined if name not in named]
+
+
+def test_every_private_definition_is_named_elsewhere():
+    assert unnamed_private_definitions(MODULES) == []
+
+
+def test_the_dead_code_check_sees_an_unnamed_definition(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("def _used():\n    return 1\n\n\n"
+                      "def _dead():\n    return _used()\n\n\n"
+                      "class _Gone:\n    def __init__(self):\n        pass\n\n"
+                      "    def _helper(self):\n        return self\n\n\n"
+                      "class Kept:\n    def run(self):\n        return self._helper()\n")
+    assert unnamed_private_definitions([module]) == ["sample.py:5 _dead",
+                                                     "sample.py:9 _Gone"]
