@@ -35,7 +35,7 @@ from queue import Empty, SimpleQueue
 from typing import Callable, NamedTuple, Optional
 
 from .components import Behavior, FiringContext, FiringResult
-from .errors import EngineError, ToolgridError
+from .errors import EngineError, ToolExecutionError, ToolgridError
 from .store import FiringLines, RunStore, compile_firing_lines, datum_json
 from .values import Datum, FileRef, convert, scalar_datum
 from .workflow import (ComponentInstance, Diagnostic, Endpoint, WorkflowGraph,
@@ -280,23 +280,23 @@ class Engine:
         slot.busy = False
         self._seq += 1
 
-        # a failed firing's exit status and logs travel on the error
-        outcome = result if error is None else error
-        stdout = getattr(outcome, "stdout_ref", None)
-        stderr = getattr(outcome, "stderr_ref", None)
-        emissions = [] if error is not None else result.emissions
+        # a failed tool firing's report travels on its error, without emissions
+        report = result or (error.report if isinstance(error, ToolExecutionError)
+                            else None) or FiringResult(exit_status=None)
+        emissions = report.emissions
         emitted = [(name, datum_json(datum)) for name, datum in emissions]
         # the blobs the line names: stdout, stderr, file inputs and outputs
-        refs = {ref for ref in (stdout, stderr) if ref}
+        refs = {ref for ref in (report.stdout_ref, report.stderr_ref) if ref}
         for datum in [p.datum for p in consumed.values()] + [d for _, d in emissions]:
             if isinstance(datum.value, FileRef):
                 refs.add(datum.value.digest)
         status = "ok" if error is None else "failed"
         line = slot.lines.record(
-            self._seq, index, status, getattr(outcome, "exit_status", None),
+            self._seq, index, status, report.exit_status,
             started_at, self._clock.now(),
             None if error is None else {"code": error.code, "message": error.message},
-            stdout, stderr, {name: parcel.text for name, parcel in consumed.items()},
+            report.stdout_ref, report.stderr_ref,
+            {name: parcel.text for name, parcel in consumed.items()},
             dict(emitted), {name: parcel.upstream for name, parcel in consumed.items()})
         self.store.record_execution(self.run_id, (inst, index), refs, line)
         at = self._clock.now()

@@ -45,21 +45,17 @@ class ComponentConfigError(ToolgridError):
 class ToolExecutionError(ToolgridError):
     """A tool execution failed (spawn, non-zero exit, or bad outputs).
 
-    ``stage`` is pre/main/post for TOOL_FAILED; partial bookkeeping fields are
-    populated when the failure happened after the subprocess ran, so callers
-    can still record logs and timings.
+    ``stage`` is pre/main/post for TOOL_FAILED. ``report`` is the
+    ``tools.FiringResult`` of what ran, with its exit status, logs and stamps
+    and no emissions, or None for a failure that reports no run (inputs that
+    do not fit, a placeholder with no value).
     """
 
     def __init__(self, code: str, message: str, stage: str | None = None,
-                 exit_status: int | None = None, stdout_ref=None, stderr_ref=None,
-                 started_at: int | None = None, finished_at: int | None = None):
+                 report=None):
         super().__init__(code, message)
         self.stage = stage
-        self.exit_status = exit_status
-        self.stdout_ref = stdout_ref
-        self.stderr_ref = stderr_ref
-        self.started_at = started_at
-        self.finished_at = finished_at
+        self.report = report
 
 
 class DataError(ToolgridError):

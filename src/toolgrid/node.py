@@ -528,8 +528,9 @@ def _failure(reply_type: int, exc: ToolgridError) -> dict:
         return dict(error, kind="rejected", diagnostics=[
             asdict(d) for d in getattr(exc, "diagnostics", [])])
     if isinstance(exc, ToolExecutionError):
-        extra = {"stage": exc.stage, "exit_status": exc.exit_status,
-                 "stdout": exc.stdout_ref, "stderr": exc.stderr_ref}
+        report = exc.report or FiringResult(exit_status=None)
+        extra = {"stage": exc.stage, "exit_status": report.exit_status,
+                 "stdout": report.stdout_ref, "stderr": report.stderr_ref}
         error.update((key, value) for key, value in extra.items() if value is not None)
     if reply_type == wire.EXEC_RESULT:
         return {"status": "failed", "error": error}
@@ -543,12 +544,11 @@ def _failure(reply_type: int, exc: ToolgridError) -> dict:
 
 @dataclass(frozen=True)
 class _Publication:
+    """A published tool and the ANNOUNCE body that every offer of it resends."""
+
     descriptor: ToolDescriptor
     group_key: Optional[GroupKey]  # None means PUBLIC
-
-    @property
-    def wire_group(self) -> str:
-        return PUBLIC if self.group_key is None else self.group_key.key_id
+    body: dict  # publisher, sequence, group, slot, payload
 
 
 class Node:
@@ -654,17 +654,30 @@ class Node:
             if key is None:
                 raise ConfigError("UNKNOWN_GROUP",
                                   f"no key for group {group!r}", key="published")
+        doc = descriptor.documentation or ""
+        payload = {"name": descriptor.name, "version": descriptor.version,
+                   "doc_digest": hashlib.sha256(doc.encode()).hexdigest(),
+                   **interface_to_json(descriptor.interface)}
+        body = {"publisher": self.node_id, "group": PUBLIC,
+                "slot": descriptor.name, "payload": payload}
+        if key is not None:
+            body.update(group=key.key_id,
+                        slot=announcement_slot(key.material.mac_key, descriptor.name),
+                        payload={"ciphertext": base64.b64encode(encrypt_payload_json(
+                            payload, key.material.enc_key)).decode()})
         with self._lock:
-            self._published[component] = _Publication(descriptor, key)
-        self._broadcast(Frame(wire.ANNOUNCE, self._announcement_body(component)))
+            body["sequence"] = self._next_sequence()
+            self._published[component] = _Publication(descriptor, key, body)
+        self._broadcast(Frame(wire.ANNOUNCE, body))
 
     def unpublish(self, component: str) -> None:
         with self._lock:
             publication = self._published.pop(component, None)
-        if publication is None:
-            raise ConfigError("UNKNOWN_TOOL",
-                              f"{component!r} is not published", key="published")
-        body = self._tombstone_body(publication)
+            if publication is None:
+                raise ConfigError("UNKNOWN_TOOL",
+                                  f"{component!r} is not published", key="published")
+            body = dict(publication.body, sequence=self._next_sequence())
+        del body["payload"]
         self._broadcast(Frame(wire.RETRACT, body))
 
     def apply_publications(self, published: Sequence[Publication]) -> None:
@@ -693,53 +706,14 @@ class Node:
                           for component, publication in self._published.items())
 
     def _next_sequence(self) -> int:
-        with self._lock:
-            self._announce_seq = max(int(time.time() * 1000),
-                                     self._announce_seq + 1)
-            return self._announce_seq
-
-    def _payload_for(self, publication: _Publication) -> tuple[str, dict]:
-        descriptor = publication.descriptor
-        doc = descriptor.documentation or ""
-        plain = {
-            "name": descriptor.name,
-            "version": descriptor.version,
-            "doc_digest": hashlib.sha256(doc.encode()).hexdigest(),
-        }
-        plain.update(interface_to_json(descriptor.interface))
-        if publication.group_key is None:
-            return descriptor.name, plain
-        material = publication.group_key.material
-        slot = announcement_slot(material.mac_key, descriptor.name)
-        ciphertext = encrypt_payload_json(plain, material.enc_key)
-        return slot, {"ciphertext": base64.b64encode(ciphertext).decode()}
-
-    def _announcement_body(self, component: str) -> dict:
-        with self._lock:
-            publication = self._published[component]
-        slot, payload = self._payload_for(publication)
-        return {
-            "publisher": self.node_id,
-            "sequence": self._next_sequence(),
-            "group": publication.wire_group,
-            "slot": slot,
-            "payload": payload,
-        }
-
-    def _tombstone_body(self, publication: _Publication) -> dict:
-        slot, _ = self._payload_for(publication)
-        return {
-            "publisher": self.node_id,
-            "sequence": self._next_sequence(),
-            "group": publication.wire_group,
-            "slot": slot,
-        }
+        """A sequence above every earlier one; the caller holds ``_lock``."""
+        self._announce_seq = max(int(time.time() * 1000), self._announce_seq + 1)
+        return self._announce_seq
 
     def announcement_frames(self) -> list[Frame]:
         with self._lock:
-            components = list(self._published)
-        return [Frame(wire.ANNOUNCE, self._announcement_body(c))
-                for c in components]
+            return [Frame(wire.ANNOUNCE, publication.body)
+                    for publication in self._published.values()]
 
     def _broadcast(self, frame: Frame) -> None:
         with self._lock:
@@ -903,7 +877,7 @@ class Node:
         component = str(body.get("component", ""))
         with self._lock:
             publication = self._published.get(component)
-        if publication is None or publication.wire_group != body.get("group"):
+        if publication is None or publication.body["group"] != body.get("group"):
             raise NetworkError("UNKNOWN_COMPONENT",
                                f"{component!r} is not offered here")
         return publication
@@ -951,22 +925,23 @@ class Node:
         except (ValueError, TypeError, KeyError) as exc:
             raise NetworkError("BAD_REQUEST", f"undecodable inputs: {exc}") from exc
 
-        def send_logs(ran) -> None:
-            # ``ran`` is the outcome or the ToolExecutionError of the tool
-            for stream, ref in (("stdout", ran.stdout_ref), ("stderr", ran.stderr_ref)):
+        def send_logs(report: FiringResult) -> None:
+            for stream, ref in (("stdout", report.stdout_ref),
+                                ("stderr", report.stderr_ref)):
                 if ref:
                     channel.send_chunks(wire.LOG_CHUNK, {
                         "request_id": request_id, "stream": stream},
                         self.blobs.get(ref))
 
         try:
-            outcome = execute_tool(publication.descriptor, inputs,
-                                   self.work_dir, self.blobs)
+            report = execute_tool(publication.descriptor, inputs,
+                                  self.work_dir, self.blobs)
         except ToolExecutionError as exc:
-            send_logs(exc)
+            if exc.report is not None:
+                send_logs(exc.report)
             raise
-        send_logs(outcome)
-        for _, datum in outcome.emissions:
+        send_logs(report)
+        for _, datum in report.emissions:
             if datum.type is DatumType.FILE:
                 digest = datum.value.digest
                 channel.send_chunks(wire.BLOB_CHUNK, {
@@ -974,12 +949,12 @@ class Node:
                     "role": "output"}, self.blobs.get(digest))
         return {
             "status": "ok",
-            "exit_status": outcome.exit_status,
-            "outputs": {name: datum.to_json() for name, datum in outcome.emissions},
-            "stdout": outcome.stdout_ref,
-            "stderr": outcome.stderr_ref,
-            "started_at": outcome.started_at,
-            "finished_at": outcome.finished_at,
+            "exit_status": report.exit_status,
+            "outputs": {name: datum.to_json() for name, datum in report.emissions},
+            "stdout": report.stdout_ref,
+            "stderr": report.stderr_ref,
+            "started_at": report.started_at,
+            "finished_at": report.finished_at,
         }
 
     def _serve_doc(self, body: dict) -> dict:
@@ -1073,10 +1048,12 @@ class Node:
             named = (error.get("stdout"), error.get("stderr"))
             if any(ref not in (None, stored) for ref, stored in zip(named, logs)):
                 raise NetworkError("TRANSPORT", "log digests do not match the error")
-            raise ToolExecutionError(
-                failure.code, failure.message, stage=error.get("stage"),
-                exit_status=error.get("exit_status"),
-                stdout_ref=named[0], stderr_ref=named[1])
+            stage, exit_status = error.get("stage"), error.get("exit_status")
+            if stage not in (None, "pre", "main", "post") or not (
+                    exit_status is None or type(exit_status) is int):
+                raise NetworkError("TRANSPORT", "undecodable stage or exit status")
+            raise ToolExecutionError(failure.code, failure.message, stage,
+                                     FiringResult([], exit_status, *named))
 
         try:
             emissions = [(name, datum_from_json(doc))
@@ -1299,11 +1276,16 @@ class Node:
                     failure.diagnostics = diagnostics
                     raise failure
                 if kind == "accepted":
-                    run_id = str(body.get("run_id"))
+                    run_id = body.get("run_id")
+                    if not isinstance(run_id, str) or not run_id:
+                        raise NetworkError("TRANSPORT", "acceptance names no run")
                     if watch is None or done:
                         return run_id
                 elif kind == "event" and watch is not None:
-                    watch(body.get("event_doc", {}))
+                    event_doc = body.get("event_doc", {})
+                    if not isinstance(event_doc, dict):
+                        raise NetworkError("TRANSPORT", "undecodable run event")
+                    watch(event_doc)
                 elif kind == "done":
                     # a short run can finish before the acceptance frame is
                     # written; keep reading until the run_id shows up

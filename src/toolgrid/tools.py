@@ -61,7 +61,7 @@ class FiringResult:
     its exit status, log digests, stamps and working directory."""
 
     emissions: list[tuple[str, Datum]] = field(default_factory=list)
-    exit_status: int = 0
+    exit_status: Optional[int] = 0
     stdout_ref: Optional[str] = None
     stderr_ref: Optional[str] = None
     started_at: Optional[int] = None
@@ -261,8 +261,8 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
                  workdir_root: Path, blobs: BlobStore) -> FiringResult:
     """Run one tool firing in a fresh working directory.
 
-    Raises ToolExecutionError carrying the failed stage, exit status, and
-    blob references for whatever stdout/stderr was captured before the abort.
+    Raises ToolExecutionError carrying the failed stage and the report of
+    what ran: exit status and the stdout/stderr captured before the abort.
     """
     main_template = select_command(descriptor, current_os())
 
@@ -300,14 +300,15 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
     stdout_parts: list[bytes] = []
     stderr_parts: list[bytes] = []
 
-    def flush_streams() -> tuple[str, str]:
-        return blobs.put(b"".join(stdout_parts)), blobs.put(b"".join(stderr_parts))
+    def report(exit_status: Optional[int],
+               emissions: list[tuple[str, Datum]]) -> FiringResult:
+        return FiringResult(emissions, exit_status,
+                            blobs.put(b"".join(stdout_parts)),
+                            blobs.put(b"".join(stderr_parts)),
+                            started_at, _now_ms(), str(workdir))
 
     def fail(code: str, message: str, stage: str, status: int | None) -> ToolExecutionError:
-        out_ref, err_ref = flush_streams()
-        return ToolExecutionError(code, message, stage=stage, exit_status=status,
-                                  stdout_ref=out_ref, stderr_ref=err_ref,
-                                  started_at=started_at, finished_at=_now_ms())
+        return ToolExecutionError(code, message, stage, report(status, []))
 
     stages = [("pre", descriptor.pre_script), ("main", main_template),
               ("post", descriptor.post_script)]
@@ -350,6 +351,4 @@ def execute_tool(descriptor: ToolDescriptor, inputs: Mapping[str, Datum],
             except ToolExecutionError as exc:
                 raise fail(exc.code, exc.message, "main", 0) from exc
 
-    stdout_ref, stderr_ref = flush_streams()
-    return FiringResult(emissions, 0, stdout_ref, stderr_ref,
-                        started_at, _now_ms(), str(workdir))
+    return report(0, emissions)

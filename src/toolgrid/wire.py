@@ -97,10 +97,7 @@ def encode_frame(frame: Frame) -> bytes:
     return struct.pack(">IB", length, frame.type) + payload
 
 
-def _parse_payload(frame_type: int, payload: bytes, strict: bool) -> Frame:
-    if strict and frame_type not in TYPE_NAMES:
-        raise FrameError("UNKNOWN_TYPE", f"unknown frame type 0x{frame_type:02x}",
-                         frame_type=frame_type)
+def _parse_payload(frame_type: int, payload: bytes) -> Frame:
     if frame_type in BINARY_TYPES:
         sep = payload.find(b"\n")
         if sep < 0:
@@ -123,10 +120,10 @@ def _parse_payload(frame_type: int, payload: bytes, strict: bool) -> Frame:
     return Frame(frame_type, body, binary)
 
 
-def decode_frame(data: bytes, strict: bool = True) -> Frame:
+def decode_frame(data: bytes) -> Frame:
     """Decode one complete frame from ``data``; data must be exactly one frame."""
     stream = io.BytesIO(data)
-    frame = FrameReader(stream.read, strict).next_frame()
+    frame = FrameReader(stream.read).next_frame()
     if frame is None or stream.tell() != len(data):
         raise FrameError("TRUNCATED", f"{len(data)} bytes are not exactly one frame")
     return frame
@@ -139,9 +136,8 @@ class FrameReader:
     hostile length prefix cannot force a large allocation.
     """
 
-    def __init__(self, read, strict: bool = False):
+    def __init__(self, read):
         self._read = read
-        self._strict = strict
 
     def _read_exact(self, n: int) -> bytes:
         parts = []
@@ -168,7 +164,7 @@ class FrameReader:
         if length < 1:
             raise FrameError("TRUNCATED", "declared length misses the type byte")
         rest = self._read_exact(length)
-        return _parse_payload(rest[0], rest[1:], self._strict)
+        return _parse_payload(rest[0], rest[1:])
 
 
 def chunk_frames(frame_type: int, header: dict, data: bytes) -> Iterator[Frame]:

@@ -247,6 +247,12 @@ UNDECODABLE_RESULTS = {
     "file-without-digest": {"outputs": {"out": {"type": "file"}}},
     "outputs-not-a-map": {"outputs": "out"},
     "exit-status-not-a-number": {"outputs": {}, "exit_status": "soon"},
+    "failed-exit-status-not-a-number": {"status": "failed", "error": {
+        "code": "TOOL_FAILED", "message": "exit", "exit_status": "soon"}},
+    "failed-stage-not-text": {"status": "failed", "error": {
+        "code": "TOOL_FAILED", "message": "exit", "stage": {"a": 1}}},
+    "failed-stage-unknown": {"status": "failed", "error": {
+        "code": "TOOL_FAILED", "message": "exit", "stage": "later"}},
 }
 
 
@@ -303,6 +309,8 @@ REQUESTS = {
     "runs": lambda caller, host, _: caller.query_runs(host),
     "run": lambda caller, host, _: caller.query_run_records(host, "r1"),
     "submit": lambda caller, host, _: caller.submit_run(host, "{}"),
+    "watch": lambda caller, host, _: caller.submit_run(
+        host, "{}", watch=lambda event: event.get("event")),
 }
 
 # request, reply type, reply body: each reply is one the caller cannot read
@@ -321,6 +329,10 @@ UNREADABLE_REPLIES = {
     "run-diagnostics-are-text": ("submit", wire.RUN_EVENT, {
         "kind": "rejected", "code": "VALIDATION_FAILED", "message": "no",
         "diagnostics": "bad"}),
+    "run-accepted-without-id": ("submit", wire.RUN_EVENT, {"kind": "accepted"}),
+    "run-id-not-text": ("submit", wire.RUN_EVENT, {"kind": "accepted", "run_id": 5}),
+    "run-event-doc-is-text": ("watch", wire.RUN_EVENT,
+                              {"kind": "event", "event_doc": "started"}),
 }
 
 

@@ -191,7 +191,7 @@ def test_remote_execute_tool_failure_travels_back(lan_pair, tmp_path):
     with pytest.raises(ToolExecutionError) as err:
         b.remote_execute(a.node_id, "dies@1", PUBLIC, {})
     assert err.value.code == "TOOL_FAILED"
-    assert err.value.exit_status == 9
+    assert err.value.report.exit_status == 9
 
 
 def test_group_execution_requires_membership(lan_pair, tmp_path):
@@ -470,6 +470,46 @@ def test_list_triggers_reannouncement(lan_pair, tmp_path):
     assert b.remote_components() == []
     b.session_for(a.node_id).send(Frame(wire.LIST, {}))
     assert wait_until(lambda: b.remote_components())
+
+
+def test_a_list_round_leaves_an_unchanged_offer_as_it_was(lan_pair, tmp_path,
+                                                         monkeypatch):
+    a, b = lan_pair
+    key = new_group_key("team")
+    a.add_group_key(key)
+    b.add_group_key(key)
+    sealed = []
+    encrypt = node_module.encrypt_payload_json
+    monkeypatch.setattr(node_module, "encrypt_payload_json",
+                        lambda *args: sealed.append(args) or encrypt(*args))
+    received = []  # every ANNOUNCE or RETRACT body b applies
+    apply = b.registry.apply
+    monkeypatch.setattr(b.registry, "apply", lambda body, **kwargs: (
+        received.append(dict(body)) or apply(body, **kwargs)))
+    a.install_descriptor(identity_descriptor(tmp_path))
+    a.publish("identity@1", group="team")
+    assert wait_until(lambda: b.remote_components())
+    offered, [listed] = received[-1], b.remote_components()
+
+    session = b.session_for(a.node_id)
+    session.send(Frame(wire.LIST, None))
+    session.request(wire.PING, {})  # a answers LIST, then PING, in order
+    assert len(received) == 2
+    assert received[-1] == offered  # same sequence, same ciphertext
+    assert b.remote_components()[0] is listed  # nothing was decoded again
+    assert len(sealed) == 1
+
+    a.publish("identity@1", group="team")
+    assert wait_until(lambda: len(received) == 3)
+    assert received[-1]["sequence"] > offered["sequence"]
+    assert len(sealed) == 2
+    a.unpublish("identity@1")
+    assert wait_until(lambda: len(received) == 4)
+    assert "payload" not in received[-1]
+    assert received[-1]["sequence"] > received[-2]["sequence"]
+    assert received[-1]["slot"] == offered["slot"]
+    assert len(sealed) == 2
+    assert wait_until(lambda: b.remote_components() == [])
 
 
 def test_a_departed_peers_offers_leave_with_its_session(make_node, tmp_path):

@@ -253,9 +253,9 @@ def test_execute_nonzero_exit(tmp_path, blobs):
     exc = err.value
     assert exc.code == "TOOL_FAILED"
     assert exc.stage == "main"
-    assert exc.exit_status == 3
-    assert blobs.get(exc.stderr_ref) == b"boom\n"
-    assert exc.started_at <= exc.finished_at
+    assert exc.report.exit_status == 3
+    assert blobs.get(exc.report.stderr_ref) == b"boom\n"
+    assert exc.report.started_at <= exc.report.finished_at
 
 
 def test_execute_spawn_failure(tmp_path, blobs):

@@ -119,14 +119,6 @@ def test_binary_frame_without_separator_rejected():
     assert err.value.code == "TRUNCATED"
 
 
-def test_strict_mode_rejects_unknown_types():
-    data = struct.pack(">IB", 1, 0x7F)
-    assert decode_frame(data, strict=False).type == 0x7F
-    with pytest.raises(FrameError) as err:
-        decode_frame(data, strict=True)
-    assert err.value.code == "UNKNOWN_TYPE"
-
-
 def test_reader_yields_frames_then_none():
     frames = [Frame(wire.PING, {"request_id": "r"}),
               Frame(wire.LOG_CHUNK, {"stream": "stdout"}, b"hello\n"),
@@ -231,4 +223,4 @@ def frames(draw):
 
 @given(frames())
 def test_random_frames_roundtrip(frame):
-    assert decode_frame(encode_frame(frame), strict=True) == frame
+    assert decode_frame(encode_frame(frame)) == frame
