@@ -126,3 +126,41 @@ def test_a_converger_loop_records_the_golden_log(node, tmp_path):
         [edge("conv.loop", "step.x"), edge("step.y", "conv.x")]))
     assert state == "COMPLETED"
     check_golden("converger_loop.log", normalise_records(text, {node.node_id: "solo"}))
+
+
+def test_a_lan_tool_that_writes_stdout_records_the_golden_log(make_node, tmp_path):
+    host, controller = make_node("host"), make_node("controller")
+    link_nodes(host, controller)
+    script = write_tool(tmp_path / "chatty.py", (
+        "print('doubling', doc['x'])\n"
+        "(wd / 'outputs.json').write_text(json.dumps({'out': doc['x'] * 2}))\n"))
+    host.install_descriptor(parse_descriptor(json.dumps({
+        "name": "chatty", "version": "1",
+        "commands": {"linux": f"{PY} {script} ${{workdir}}"},
+        "inputs": [{"name": "x", "type": "integer"}],
+        "outputs": [{"name": "out", "type": "integer"}]})))
+    host.publish("chatty@1")
+    assert wait_until(lambda: controller.remote_components())
+    state, text = records_log(controller, workflow(
+        "golden-lan-stdout",
+        [instance("src", "input-provider@1", {"values": {"x": 21}}),
+         instance("twice", "chatty@1", placement=host.node_id)],
+        [edge("src.x", "twice.x")]))
+    assert state == "COMPLETED"
+    check_golden("lan_tool_stdout.log", normalise_records(
+        text, {controller.node_id: "controller", host.node_id: "host"}))
+
+
+def test_a_stall_records_the_golden_log(node, tmp_path):
+    # 20 leaves the gate on "false", so the writer's input b never fills
+    state, text = records_log(node, workflow(
+        "golden-stall",
+        [instance("src", "input-provider@1", {"values": {"v": 1.0, "w": 20.0}}),
+         instance("gate", "switch@1", {"condition": "< 10"}),
+         instance("sink", "output-writer@1",
+                  {"target": str(tmp_path / "out"),
+                   "inputs": {"a": "float", "b": "float"}})],
+        [edge("src.v", "sink.a"), edge("src.w", "gate.value"),
+         edge("gate.true", "sink.b")]))
+    assert state == "STALLED"
+    check_golden("stall.log", normalise_records(text, {node.node_id: "solo"}))
