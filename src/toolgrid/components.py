@@ -31,7 +31,7 @@ from .errors import ComponentConfigError, DataError, DescriptorError
 from .store import BlobStore
 from .tools import (FiringResult, ToolDescriptor, _check_placeholders, current_os,
                     execute_tool)
-from .values import Datum, DatumType, infer_scalar_type, scalar_datum
+from .values import Datum, DatumType, infer_scalar_type, misfit, scalar_datum
 from .workflow import (IDENT_RE, ComponentInterface, ComponentRef, Endpoint,
                        typed_endpoint)
 
@@ -71,12 +71,10 @@ class Behavior:
 
 def _typed_endpoints(spec, direction: str, where: str) -> tuple[Endpoint, ...]:
     """Config maps like {"x": "float"} or {"x": "float:constant"} (inputs only)."""
-    if not isinstance(spec, Mapping):
-        raise ComponentConfigError("BAD_CONFIG", f"{where} must be a name-to-type map")
+    if found := misfit({"*": str}, spec, where):
+        raise ComponentConfigError("BAD_CONFIG", "{}: {}".format(*found))
     endpoints = []
     for name, type_spec in spec.items():
-        if not isinstance(type_spec, str):
-            raise ComponentConfigError("BAD_CONFIG", f"{where}.{name} must be a type name")
         try:
             endpoints.append(typed_endpoint(str(name), type_spec, direction))
         except ValueError as exc:

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
+from .values import TEXT, misfit
 
 ENV_CONFIG_DIR = "TOOLGRID_CONFIG_DIR"
 DEFAULT_CONFIG_DIR = "~/.toolgrid"
@@ -100,11 +101,15 @@ def node_identity(config_dir: Path) -> str:
     return node_id
 
 
-_TOP_KEYS = {"display_name", "listen", "peers", "uplink", "published"}
+_CONFIG = {"display_name?": TEXT, "listen?": str, "peers?": [str],
+           "uplink?": {"relay": TEXT, "client_id": TEXT, "token": TEXT},
+           "published?": [{"component": str, "group?": TEXT}]}
 
 
 def load_config(config_dir: Path) -> NodeConfig:
-    """Read config.json; a missing file yields an all-defaults client config."""
+    """Read config.json; a missing file yields an all-defaults client config.
+    Raises ConfigError UNKNOWN_KEY, MALFORMED or BAD_ADDRESS; ``key`` names
+    the entry."""
     config_dir = Path(config_dir)
     path = config_dir / "config.json"
     if not path.exists():
@@ -113,58 +118,24 @@ def load_config(config_dir: Path) -> NodeConfig:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("MALFORMED", f"{path}: {exc.msg} at line {exc.lineno}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("MALFORMED", f"{path}: config must be a JSON object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise ConfigError("UNKNOWN_KEY", f"unknown config key {key!r}", key=key)
+    if found := misfit(_CONFIG, doc, closed=True):
+        key, reason = found
+        raise ConfigError("UNKNOWN_KEY" if reason == "unknown field" else "MALFORMED",
+                          f"{path}: {key or 'config'}: {reason}", key=key or None)
 
-    display_name = doc.get("display_name", "toolgrid-node")
-    if not isinstance(display_name, str) or not display_name:
-        raise ConfigError("MALFORMED", "display_name must be non-empty text",
-                          key="display_name")
-    listen = doc.get("listen")
+    listen, peers = doc.get("listen"), doc.get("peers") or []
     if listen is not None:
-        if not isinstance(listen, str):
-            raise ConfigError("MALFORMED", "listen must be host:port", key="listen")
         parse_address(listen, "listen")
-    peers = doc.get("peers", [])
-    if not isinstance(peers, list) or any(not isinstance(p, str) for p in peers):
-        raise ConfigError("MALFORMED", "peers must be a list of host:port",
-                          key="peers")
     for i, peer in enumerate(peers):
         parse_address(peer, f"peers[{i}]")
-
-    uplink = None
-    raw_uplink = doc.get("uplink")
-    if raw_uplink is not None:
-        if not isinstance(raw_uplink, dict):
-            raise ConfigError("MALFORMED", "uplink must be an object", key="uplink")
-        for field_name in ("relay", "client_id", "token"):
-            if not isinstance(raw_uplink.get(field_name), str) or not raw_uplink[field_name]:
-                raise ConfigError("MALFORMED",
-                                  f"uplink.{field_name} must be non-empty text",
-                                  key=f"uplink.{field_name}")
-        parse_address(raw_uplink["relay"], "uplink.relay")
-        uplink = UplinkSettings(raw_uplink["relay"], raw_uplink["client_id"],
-                                raw_uplink["token"])
-
-    published: list[Publication] = []
-    raw_published = doc.get("published", [])
-    if not isinstance(raw_published, list):
-        raise ConfigError("MALFORMED", "published must be a list", key="published")
-    for i, entry in enumerate(raw_published):
-        where = f"published[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("component"), str):
-            raise ConfigError("MALFORMED", f"{where} needs a component name@version",
-                              key=where)
-        group = entry.get("group", "PUBLIC")
-        if not isinstance(group, str) or not group:
-            raise ConfigError("MALFORMED", f"{where}.group must be text",
-                              key=f"{where}.group")
-        published.append(Publication(entry["component"], group))
-
-    return NodeConfig(config_dir, display_name, listen, peers, uplink, published)
+    uplink = doc.get("uplink")
+    if uplink is not None:
+        parse_address(uplink["relay"], "uplink.relay")
+        uplink = UplinkSettings(**uplink)
+    published = [Publication(entry["component"], entry.get("group") or "PUBLIC")
+                 for entry in doc.get("published") or []]
+    return NodeConfig(config_dir, doc.get("display_name") or "toolgrid-node",
+                      listen, peers, uplink, published)
 
 
 def save_config(config: NodeConfig) -> None:

@@ -16,6 +16,7 @@ supersede entries without learning what is being offered.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import logging
@@ -45,7 +46,7 @@ from .groups import (PUBLIC, GroupKey, announcement_slot, decrypt_announcement,
 from .store import RunStore
 from .tools import (ToolDescriptor, descriptor_to_json, execute_tool,
                     parse_descriptor)
-from .values import Datum, DatumType, datum_from_json
+from .values import Datum, DatumType, datum_from_json, misfit
 from .wire import Frame, FrameReader, chunk_frames, encode_frame
 from .workflow import (IDENT_RE, VERSION_RE, ComponentInstance,
                        ComponentInterface, ComponentRef, Diagnostic,
@@ -268,14 +269,10 @@ class Registry:
     def apply(self, body: Mapping, *, tombstone: bool,
               origin: Optional[str] = None,
               channel: Optional["Channel"] = None) -> bool:
-        try:
-            key = (str(body["publisher"]), str(body["group"]), str(body["slot"]))
-            sequence = int(body["sequence"])
-        except (KeyError, TypeError, ValueError):
-            return False
-        payload = None if tombstone else body.get("payload")
-        if not tombstone and not isinstance(payload, dict):
-            return False
+        """Keep a shaped ANNOUNCE, or a RETRACT as a tombstone, if it is newer."""
+        key = (body["publisher"], body["group"], body["slot"])
+        sequence = body["sequence"]
+        payload = None if tombstone else body["payload"]
         with self._lock:
             current = self._entries.get(key)
             if current is not None and current.sequence >= sequence:
@@ -304,37 +301,33 @@ class Registry:
     def _decode(self, keys: Mapping[str, GroupKey]) -> list[RemoteComponent]:
         out: list[RemoteComponent] = []
         for (publisher, group, slot), entry in self._entries.items():
-            if entry.payload is None:
+            plain = entry.payload
+            if plain is None:
                 continue
-            if group == PUBLIC:
-                plain = entry.payload
-            else:
-                key = keys.get(group)
-                if key is None:
-                    continue
-                material = key.material
+            if group != PUBLIC:
                 try:
-                    raw = base64.b64decode(entry.payload.get("ciphertext", ""))
-                    plain = decrypt_payload_json(raw, material.enc_key)
-                except (CryptoError, ValueError):
+                    key = keys[group]
+                    raw = base64.b64decode(plain.get("ciphertext", ""))
+                    plain = decrypt_payload_json(raw, key.material.enc_key)
+                except (KeyError, CryptoError, TypeError, ValueError):
                     continue
-                # the slot must match the name or the entry was transplanted
-                if announcement_slot(material.mac_key, str(plain.get("name"))) != slot:
-                    continue
-            try:
-                name, version = str(plain["name"]), str(plain["version"])
-                interface = interface_from_json(plain)
-            except (KeyError, DescriptorError):
-                continue
             # only the relay's stamp may put "::" in a ref: _route follows it
-            if not IDENT_RE.match(name) or not VERSION_RE.match(version):
+            if misfit(wire.OFFER, plain) or not IDENT_RE.match(plain["name"]) \
+                    or not VERSION_RE.match(plain["version"]):
+                continue
+            name, version = plain["name"], plain["version"]
+            # the slot must match the name or the entry was transplanted
+            if group != PUBLIC and announcement_slot(key.material.mac_key, name) != slot:
+                continue
+            try:
+                interface = interface_from_json(plain)
+            except DescriptorError:
                 continue
             if entry.origin:
                 name = f"{entry.origin}::{name}"
             out.append(RemoteComponent(ComponentRef(name, version), publisher,
                                        group, interface,
-                                       str(plain.get("doc_digest", "")),
-                                       entry.origin))
+                                       plain.get("doc_digest") or "", entry.origin))
         out.sort(key=lambda rc: (str(rc.ref), rc.publisher, rc.group))
         return out
 
@@ -387,15 +380,20 @@ class Channel(FramedSocket):
 
     def request(self, frame_type: int, body: Mapping,
                 deadline: Optional[float] = None) -> Frame:
-        """Send a request that has one reply and wait for it (see _reply)."""
+        """Send a request that has one reply and wait for it (see _reply); a
+        reply of another type than _REPLIES names (PONG for PING) is TRANSPORT."""
         request_id = uuid.uuid4().hex
         queue = self.request_queue(request_id)
         try:
             # a failed send closes the channel, which wakes the queue
             self.send(Frame(frame_type, dict(body, request_id=request_id)))
-            return _reply(queue, deadline)
+            frame = _reply(queue, deadline)
         finally:
             self.drop_queue(request_id)
+        expected = _REPLIES.get(frame_type, wire.PONG)
+        if frame.type != expected:
+            raise NetworkError("TRANSPORT", f"no {wire.type_name(expected)} reply")
+        return frame
 
     def admit(self, body: Mapping, *, tombstone: bool) -> None:
         """Apply an ANNOUNCE or RETRACT if this channel may carry it."""
@@ -464,17 +462,16 @@ def _reply(queue: SimpleQueue, deadline: Optional[float] = None) -> Frame:
     if frame is None:
         raise NetworkError("TRANSPORT", "connection closed mid-request")
     if frame.type == wire.ERROR:
-        raise _peer_error(frame.body or {}, "routing failed")
+        raise _peer_error(frame.body, "routing failed")
     return frame
 
 
-def _peer_error(error: object, fallback: str) -> NetworkError:
-    """The error that an ``error`` document from a peer names, or TRANSPORT
-    when it is not a document."""
-    if not isinstance(error, Mapping):
-        return NetworkError("TRANSPORT", f"undecodable error {error!r}")
-    return NetworkError(str(error.get("code", "TRANSPORT")),
-                        str(error.get("message", fallback)))
+def _peer_error(error: Optional[Mapping], fallback: str) -> NetworkError:
+    """The error that a peer's ``error`` document names, or TRANSPORT for a
+    reply that names none."""
+    if not error:
+        return NetworkError("TRANSPORT", fallback)
+    return NetworkError(error["code"], error["message"])
 
 
 class _Reassembler:
@@ -492,18 +489,18 @@ class _Reassembler:
         self._partial: dict[str, bytearray] = {}
 
     def feed(self, frame: Frame) -> None:
-        body = frame.body or {}
+        body = frame.body
         if frame.type == wire.LOG_CHUNK:
-            stream = self.logs.get(str(body.get("stream", "")))
+            stream = self.logs.get(body["stream"])
             if stream is not None:
                 stream.extend(frame.binary)
             return
-        digest = str(body.get("digest", ""))
+        digest = body["digest"]
         if digest in self.blobs or (self.want is not None and digest not in self.want):
             return
         partial = self._partial.setdefault(digest, bytearray())
         partial.extend(frame.binary)
-        if body.get("last"):
+        if body["last"]:
             data = bytes(self._partial.pop(digest))
             if hashlib.sha256(data).hexdigest() != digest:
                 raise NetworkError("TRANSPORT",
@@ -795,10 +792,10 @@ class Node:
         if session is None:
             return False
         try:
-            frame = session.request(wire.PING, {}, time.monotonic() + PING_TIMEOUT)
+            session.request(wire.PING, {}, time.monotonic() + PING_TIMEOUT)
         except NetworkError:
             return False
-        return frame.type == wire.PONG
+        return True
 
     def stop(self) -> None:
         with self._lock:
@@ -827,7 +824,13 @@ class Node:
             channel.send(Frame(wire.PONG, body or None))
             return
         request_id = body.get("request_id")
-        if isinstance(request_id, str) and channel.push(request_id, frame):
+        # a request this channel serves is checked by _serve_request
+        fault = None if frame.type in channel.SERVES else wire.body_misfit(frame)
+        if fault is not None:
+            message = f"malformed {wire.type_name(frame.type)}: {fault[0]}: {fault[1]}"
+            log.warning("%s from %s", message, type(channel).__name__)
+            frame = Frame(wire.ERROR, {"code": "TRANSPORT", "message": message})
+        if isinstance(request_id, str) and channel.push(request_id, frame) or fault:
             return
         if frame.type in (wire.ANNOUNCE, wire.RETRACT):
             channel.admit(body, tombstone=frame.type == wire.RETRACT)
@@ -854,6 +857,8 @@ class Node:
         request_id = body["request_id"]
         reply_type = _REPLIES[frame.type]
         try:
+            if fault := wire.body_misfit(frame):
+                raise NetworkError("BAD_REQUEST", "{}: {}".format(*fault))
             if frame.type == wire.EXEC_REQUEST:
                 reply = self._serve_exec(channel, body, queue)
             elif frame.type == wire.DOC_REQUEST:
@@ -874,10 +879,10 @@ class Node:
 
     def _offered(self, body: Mapping) -> _Publication:
         """The publication a request names, or UNKNOWN_COMPONENT."""
-        component = str(body.get("component", ""))
+        component = body["component"]
         with self._lock:
             publication = self._published.get(component)
-        if publication is None or publication.body["group"] != body.get("group"):
+        if publication is None or publication.body["group"] != body["group"]:
             raise NetworkError("UNKNOWN_COMPONENT",
                                f"{component!r} is not offered here")
         return publication
@@ -888,15 +893,11 @@ class Node:
                     queue: SimpleQueue) -> dict:
         request_id = body["request_id"]
         publication = self._offered(body)
-        declared = body.get("blobs", [])
-        if not isinstance(declared, list) or not all(
-                isinstance(digest, str) for digest in declared):
-            raise NetworkError("BAD_REQUEST", "blobs must be a list of digests")
 
         # the proof and the input blobs must arrive in time; the tool's own
         # run has no deadline
         deadline = time.monotonic() + REQUEST_TIMEOUT
-        chunks = _Reassembler(set(declared))
+        chunks = _Reassembler(set(body["blobs"]))
         proven = publication.group_key is None
         if not proven:
             nonce = new_challenge()
@@ -908,7 +909,7 @@ class Node:
                 chunks.feed(incoming)  # buffered, stored only once proven
             elif incoming.type == wire.PROOF and not proven:
                 try:
-                    tag = bytes.fromhex(str((incoming.body or {}).get("tag", "")))
+                    tag = bytes.fromhex(incoming.body["tag"])
                 except ValueError:
                     tag = b""
                 if len(tag) != 32 or not verify_proof(
@@ -921,7 +922,7 @@ class Node:
 
         try:
             inputs = {name: datum_from_json(doc)
-                      for name, doc in dict(body.get("inputs", {})).items()}
+                      for name, doc in body["inputs"].items()}
         except (ValueError, TypeError, KeyError) as exc:
             raise NetworkError("BAD_REQUEST", f"undecodable inputs: {exc}") from exc
 
@@ -1017,7 +1018,7 @@ class Node:
                     key = self.group_keys.get(group)
                     mac_key = key.material.mac_key if key is not None else ZERO_MAC_KEY
                     try:
-                        nonce = bytes.fromhex(str((frame.body or {}).get("nonce", "")))
+                        nonce = bytes.fromhex(frame.body["nonce"])
                         tag = membership_proof(mac_key, nonce, request_digest)
                     except (ValueError, CryptoError) as exc:
                         raise NetworkError("TRANSPORT",
@@ -1028,7 +1029,7 @@ class Node:
                     channel.send(Frame(wire.PROOF, reply))
                 elif frame.type in wire.BINARY_TYPES:
                     chunks.feed(frame)
-            result = frame.body or {}
+            result = frame.body
         finally:
             channel.drop_queue(request_id)
 
@@ -1038,8 +1039,8 @@ class Node:
         logs = (self.blobs.put(bytes(chunks.logs["stdout"])),
                 self.blobs.put(bytes(chunks.logs["stderr"])))
 
-        if result.get("status") != "ok":
-            error = result.get("error") or {}
+        if result["status"] != "ok":
+            error = result.get("error")
             failure = _peer_error(error, "remote execution failed")
             if failure.code in ("AUTH_FAILED", "UNKNOWN_COMPONENT", "TRANSPORT",
                                 "BAD_REQUEST"):
@@ -1048,19 +1049,17 @@ class Node:
             named = (error.get("stdout"), error.get("stderr"))
             if any(ref not in (None, stored) for ref, stored in zip(named, logs)):
                 raise NetworkError("TRANSPORT", "log digests do not match the error")
-            stage, exit_status = error.get("stage"), error.get("exit_status")
-            if stage not in (None, "pre", "main", "post") or not (
-                    exit_status is None or type(exit_status) is int):
-                raise NetworkError("TRANSPORT", "undecodable stage or exit status")
-            raise ToolExecutionError(failure.code, failure.message, stage,
-                                     FiringResult([], exit_status, *named))
+            if error.get("stage") not in (None, "pre", "main", "post"):
+                raise NetworkError("TRANSPORT", f"unknown stage {error['stage']!r}")
+            raise ToolExecutionError(failure.code, failure.message, error.get("stage"),
+                                     FiringResult([], error.get("exit_status"), *named))
 
+        if result.get("exit_status") not in (None, 0):
+            raise NetworkError("TRANSPORT", f"a result of status ok exited "
+                               f"{result['exit_status']}")
         try:
             emissions = [(name, datum_from_json(doc))
-                         for name, doc in dict(result.get("outputs", {})).items()]
-            exit_status, started_at, finished_at = (
-                int(result.get(key, 0))
-                for key in ("exit_status", "started_at", "finished_at"))
+                         for name, doc in (result.get("outputs") or {}).items()]
         except (ValueError, TypeError, KeyError) as exc:
             raise NetworkError("TRANSPORT", f"undecodable result: {exc}") from exc
         for _, datum in emissions:
@@ -1070,7 +1069,8 @@ class Node:
                     f"output blob {datum.value.digest[:12]} never arrived")
         if (result.get("stdout"), result.get("stderr")) != logs:
             raise NetworkError("TRANSPORT", "log digests do not match the result")
-        return FiringResult(emissions, exit_status, *logs, started_at, finished_at)
+        return FiringResult(emissions, 0, *logs, result.get("started_at"),
+                            result.get("finished_at"))
 
     def request_documentation(self, publisher: str, component: str,
                               group: str) -> str:
@@ -1078,13 +1078,10 @@ class Node:
         body = {"component": wire_name, "group": group}
         if target is not None:
             body["target"] = target
-        frame = channel.request(wire.DOC_REQUEST, body)
-        if frame.type != wire.DOC_RESPONSE:
-            raise NetworkError("TRANSPORT", "no documentation response")
-        reply = frame.body or {}
-        if not reply.get("ok"):
-            raise _peer_error(reply.get("error") or {}, "documentation refused")
-        doc = str(reply.get("doc", ""))
+        reply = channel.request(wire.DOC_REQUEST, body).body
+        if not reply["ok"]:
+            raise _peer_error(reply.get("error"), "documentation refused")
+        doc = reply.get("doc") or ""
         if not reply.get("encrypted"):
             return doc
         key = self.group_keys.get(group)
@@ -1211,25 +1208,17 @@ class Node:
                     "request_id": request_id, "kind": "done",
                     "state": run_event.get("state")}))
 
-        overrides = body.get("overrides") or {}
-        if not isinstance(overrides, dict) or not all(
-                isinstance(key, str) and isinstance(value, str)
-                for key, value in overrides.items()):
-            raise NetworkError("BAD_REQUEST",
-                               "overrides must map instance ids to node ids")
-        engine = self.start_run(
-            str(body.get("workflow", "")),
-            overrides=overrides,
-            on_event=forward if body.get("watch") else None)
+        engine = self.start_run(body["workflow"], overrides=body.get("overrides"),
+                                on_event=forward if body.get("watch") else None)
         return {"kind": "accepted", "run_id": engine.run_id}
 
     def _serve_data_query(self, body: dict) -> dict:
-        query = body.get("query")
+        query = body["query"]
         if query == "runs":
             return {"runs": self.store.list_runs()}
         if query != "run":
             raise NetworkError("BAD_REQUEST", f"unknown query {query!r}")
-        run_id = str(body.get("run_id", ""))
+        run_id = body.get("run_id") or ""
         return {"meta": self.store.run_meta(run_id),
                 "records": [record.to_json()
                             for record in self.store.query_run(run_id)],
@@ -1264,28 +1253,21 @@ class Node:
                 frame = _reply(queue)
                 if frame.type != wire.RUN_EVENT:
                     continue
-                body = frame.body or {}
-                kind = body.get("kind")
+                body = frame.body
+                kind = body["kind"]
                 if kind == "rejected":
-                    diagnostics = body.get("diagnostics", [])
-                    if not isinstance(diagnostics, list) or not all(
-                            isinstance(d, dict) for d in diagnostics):
-                        raise NetworkError("TRANSPORT", "undecodable diagnostics")
-                    failure = EngineError(str(body.get("code", "REJECTED")),
-                                          str(body.get("message", "run rejected")))
-                    failure.diagnostics = diagnostics
+                    failure = EngineError(body.get("code") or "REJECTED",
+                                          body.get("message") or "run rejected")
+                    failure.diagnostics = body.get("diagnostics") or []
                     raise failure
                 if kind == "accepted":
                     run_id = body.get("run_id")
-                    if not isinstance(run_id, str) or not run_id:
+                    if run_id is None:
                         raise NetworkError("TRANSPORT", "acceptance names no run")
                     if watch is None or done:
                         return run_id
                 elif kind == "event" and watch is not None:
-                    event_doc = body.get("event_doc", {})
-                    if not isinstance(event_doc, dict):
-                        raise NetworkError("TRANSPORT", "undecodable run event")
-                    watch(event_doc)
+                    watch(body.get("event_doc") or {})
                 elif kind == "done":
                     # a short run can finish before the acceptance frame is
                     # written; keep reading until the run_id shows up
@@ -1296,40 +1278,46 @@ class Node:
             session.drop_queue(request_id)
 
     def query_runs(self, controller: str) -> list[dict]:
-        return self._data_query(controller, {"query": "runs"}, runs=list)["runs"]
+        return self._data_query(controller, {"query": "runs"}, "runs")["runs"]
 
     def query_run_records(self, controller: str, run_id: str) -> dict:
         return self._data_query(controller, {"query": "run", "run_id": run_id},
-                                meta=dict, records=list, events=list)
+                                "meta", "records", "events")
 
-    def _data_query(self, controller: str, query: dict, **shape: type) -> dict:
-        """The DATA_RESULT for ``query``, whose keys hold the types in ``shape``."""
+    def _data_query(self, controller: str, query: dict, *keys: str) -> dict:
+        """The DATA_RESULT for ``query``, which must hold every one of ``keys``."""
         session = self.session_for(controller)
         if session is None:
             raise NetworkError("UNREACHABLE", f"no session to {controller[:12]}")
-        frame = session.request(wire.DATA_QUERY, query)
-        if frame.type != wire.DATA_RESULT:
-            raise NetworkError("TRANSPORT", "no data result")
-        reply = frame.body or {}
-        if reply.get("error"):
-            raise _peer_error(reply["error"], "query failed")
-        if not all(isinstance(reply.get(key), kind) for key, kind in shape.items()):
-            raise NetworkError("TRANSPORT", "undecodable data result")
+        reply = session.request(wire.DATA_QUERY, query).body
+        missing = [key for key in keys if reply.get(key) is None]
+        if reply.get("error") or missing:
+            raise _peer_error(reply.get("error"), f"data result misses {missing}")
         return reply
 
 
 class _PlacedTool(Behavior):
     """A tool instance placed on ``target``, this node or a peer, with the
     interface and group of the offer it was placed by. Each firing runs on a
-    worker through ``Node.execute``, looked up on the node at call time."""
+    worker through ``Node.execute``, looked up on the node at call time; a
+    result whose outputs are not exactly the declared ones, each of its
+    declared type, is TRANSPORT."""
 
     def __init__(self, node: Node, target: str, component: str, group: str,
                  interface: ComponentInterface):
         self._node, self._target = node, target
         self._component, self._group = component, group
         self.interface = interface
+        self._outputs = {e.name: e.datum_type for e in interface.outputs}
 
     def fire(self, ctx: FiringContext, inputs: Mapping[str, Datum]) -> FireReturn:
-        return lambda: self._node.execute(self._target, self._component,
-                                          self._group, inputs)
+        return functools.partial(self._execute, inputs)
+
+    def _execute(self, inputs: Mapping[str, Datum]) -> FiringResult:
+        report = self._node.execute(self._target, self._component, self._group,
+                                    inputs)
+        if {name: datum.type for name, datum in report.emissions} != self._outputs:
+            raise NetworkError("TRANSPORT", f"the outputs of {self._component} "
+                               "do not match its interface")
+        return report
 

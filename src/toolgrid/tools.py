@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DescriptorError, ToolExecutionError
 from .store import BlobStore
-from .values import Datum, DatumType, convert, convertible, scalar_datum
+from .values import Datum, DatumType, convert, convertible, misfit, scalar_datum
 from .workflow import (IDENT_RE, VERSION_RE, ComponentInterface, Endpoint,
                        interface_from_json, interface_to_json, typed_endpoint)
 
@@ -91,8 +91,9 @@ def _check_placeholders(template: str, where: str,
                                   f"{where} references ${{out:{name}}} but no output {name!r}")
 
 
-_DESCRIPTOR_KEYS = {"name", "version", "commands", "inputs", "outputs",
-                    "preScript", "postScript", "documentation"}
+_DESCRIPTOR = {"name": str, "version": str, "commands?": {"*": str},
+               "inputs?": list, "outputs?": list, "preScript?": str,
+               "postScript?": str, "documentation?": str}
 
 
 def parse_descriptor(text: str) -> ToolDescriptor:
@@ -100,53 +101,35 @@ def parse_descriptor(text: str) -> ToolDescriptor:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError("SYNTAX", f"bad descriptor JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise DescriptorError("SYNTAX", "descriptor must be a JSON object")
-    for key in doc:
-        if key not in _DESCRIPTOR_KEYS:
-            raise DescriptorError("UNKNOWN_FIELD", f"unknown field {key!r}")
+    if found := misfit(_DESCRIPTOR, doc, closed=True):
+        where, reason = found
+        raise DescriptorError("UNKNOWN_FIELD" if reason == "unknown field" else "SYNTAX",
+                              f"{where or 'descriptor'}: {reason}")
 
-    name = doc.get("name")
-    if not isinstance(name, str) or not IDENT_RE.match(name):
+    name, version = doc["name"], doc["version"]
+    if not IDENT_RE.match(name):
         raise DescriptorError("SYNTAX", f"bad tool name {name!r}")
-    version = doc.get("version")
-    if not isinstance(version, str) or not VERSION_RE.match(version):
+    if not VERSION_RE.match(version):
         raise DescriptorError("SYNTAX", f"bad version {version!r}")
-
-    raw_commands = doc.get("commands", {})
-    if not isinstance(raw_commands, dict):
-        raise DescriptorError("SYNTAX", "commands must be an object")
-    commands: dict[str, str] = {}
-    for os_key, template in raw_commands.items():
+    commands = doc.get("commands") or {}
+    for os_key, template in commands.items():
         if os_key not in KNOWN_OS:
             raise DescriptorError("SYNTAX", f"unknown OS key {os_key!r}")
-        if not isinstance(template, str) or not template.strip():
+        if not template.strip():
             raise DescriptorError("SYNTAX", f"command for {os_key} must be non-empty text")
-        commands[os_key] = template
     if not commands:
         raise DescriptorError("MISSING_COMMAND", "descriptor declares no OS command")
 
     interface = interface_from_json(doc)
-
-    pre_script = doc.get("preScript")
-    post_script = doc.get("postScript")
-    documentation = doc.get("documentation")
-    for label, value in (("preScript", pre_script), ("postScript", post_script),
-                         ("documentation", documentation)):
-        if value is not None and not isinstance(value, str):
-            raise DescriptorError("SYNTAX", f"{label} must be text")
-
     in_names = {e.name for e in interface.inputs}
     out_names = {e.name for e in interface.outputs}
-    for os_key, template in commands.items():
-        _check_placeholders(template, f"commands.{os_key}", in_names, out_names)
-    if pre_script:
-        _check_placeholders(pre_script, "preScript", in_names, out_names)
-    if post_script:
-        _check_placeholders(post_script, "postScript", in_names, out_names)
-
-    return ToolDescriptor(name, version, commands, interface,
-                          pre_script, post_script, documentation)
+    templates = {f"commands.{os_key}": template for os_key, template in commands.items()}
+    templates.update(preScript=doc.get("preScript"), postScript=doc.get("postScript"))
+    for where, template in templates.items():
+        if template:
+            _check_placeholders(template, where, in_names, out_names)
+    return ToolDescriptor(name, version, commands, interface, templates["preScript"],
+                          templates["postScript"], doc.get("documentation"))
 
 
 def descriptor_to_json(descriptor: ToolDescriptor) -> str:

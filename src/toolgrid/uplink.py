@@ -338,6 +338,6 @@ class UplinkLink(Channel):
     def admit(self, body: Mapping, *, tombstone: bool) -> None:
         # the relay stamps the sender's client id; our own echo is ignored
         origin = body.get("origin")
-        if isinstance(origin, str) and origin and origin != self.client_id:
+        if origin and origin != self.client_id:
             self._node.registry.apply(body, tombstone=tombstone, origin=origin,
                                       channel=self)

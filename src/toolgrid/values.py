@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
@@ -125,6 +126,58 @@ def scalar_datum(value, dtype: DatumType) -> Datum:
         except OverflowError as exc:
             raise ValueError("integer too large for datum type float") from exc
     return Datum(dtype, value)
+
+
+TEXT = "non-empty text"  # a shape kind: a str that is not empty
+_JSON_NAMES = {str: "text", int: "integer", bool: "boolean", dict: "object", list: "list"}
+
+
+def misfit(shape, doc, where: str = "", *,
+           closed: bool = False) -> Optional[tuple[str, str]]:
+    """Where a JSON document first departs from ``shape``: ``(location,
+    reason)``, with a location like ``components[1].placement``, or None.
+
+    A shape maps each key to its kind: ``str``, ``TEXT``, ``int`` (not a
+    bool), ``bool``, ``dict``, ``list``, ``[kind]`` (a list of that kind),
+    ``{"*": kind}`` (an object of values of that kind) or a nested shape. A
+    key ending in ``?`` may be absent or null. With ``closed``, a key the
+    shape does not name is an ``unknown field``.
+    """
+    if shape is TEXT:
+        return None if type(doc) is str and doc else (where, f"expected {TEXT}")
+    if type(shape) is type:
+        return None if type(doc) is shape else (where, f"expected {_JSON_NAMES[shape]}")
+    if type(shape) is list:
+        if type(doc) is not list:
+            return where, "expected list"
+        for i, item in enumerate(doc):
+            if found := misfit(shape[0], item, f"{where}[{i}]", closed=closed):
+                return found
+        return None
+    if type(doc) is not dict:
+        return where, "expected object"
+    prefix = f"{where}." if where else ""
+    if "*" in shape:
+        for key, item in doc.items():
+            if found := misfit(shape["*"], item, f"{prefix}{key}", closed=closed):
+                return found
+        return None
+    if closed:
+        for key in doc:
+            if f"{key}?" not in shape and (key not in shape or key.endswith("?")):
+                return f"{prefix}{key}", "unknown field"
+    for key, kind in shape.items():
+        name = key[:-1] if key.endswith("?") else key
+        item = doc.get(name)
+        if item is None:
+            if name == key:
+                return prefix + name, "missing"
+        elif type(kind) is type:  # the common case, checked without a call
+            if type(item) is not kind:
+                return prefix + name, f"expected {_JSON_NAMES[kind]}"
+        elif found := misfit(kind, item, prefix + name, closed=closed):
+            return found
+    return None
 
 
 def infer_scalar_type(value) -> DatumType:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .errors import FrameError
+from .values import TEXT, misfit
 
 MAX_FRAME = 1 << 20  # 1 MiB over the wire, including the type byte
 CHUNK_SIZE = 64 << 10  # payload bytes per BLOB_CHUNK or LOG_CHUNK frame
@@ -59,9 +60,54 @@ TYPE_NAMES = {
 
 BINARY_TYPES = frozenset({BLOB_CHUNK, LOG_CHUNK})
 
+# The body of each frame type a node reads after HELLO, as values.misfit
+# checks it. Shapes are open, so a key the relay adds (origin, target) fits.
+_ERROR_DOC = {"code": TEXT, "message": str}
+_OFFER_KEY = {"publisher": TEXT, "sequence": int, "group": TEXT, "slot": TEXT,
+              "origin?": str}
+_EXEC_ERROR = dict(_ERROR_DOC, **{"stage?": str, "exit_status?": int,
+                                  "stdout?": str, "stderr?": str})
+# the plain payload of an offer, in an ANNOUNCE or decrypted from one; its
+# endpoint lists are read by workflow.interface_from_json
+OFFER = {"name": TEXT, "version": TEXT, "doc_digest?": str}
+SHAPES = {
+    ERROR: _ERROR_DOC,
+    ANNOUNCE: dict(_OFFER_KEY, payload=dict),
+    RETRACT: _OFFER_KEY,
+    DOC_REQUEST: {"request_id": TEXT, "component": str, "group": str,
+                  "target?": str},
+    DOC_RESPONSE: {"request_id": TEXT, "ok": bool, "encrypted?": bool,
+                   "doc?": str, "error?": _ERROR_DOC},
+    EXEC_REQUEST: {"request_id": TEXT, "component": str, "group": str,
+                   "inputs": {"*": dict}, "blobs": [str], "target?": str},
+    CHALLENGE: {"request_id": TEXT, "nonce": str},
+    PROOF: {"request_id": TEXT, "tag": str, "target?": str},
+    BLOB_CHUNK: {"request_id": TEXT, "digest": str, "role": str, "seq": int,
+                 "last": bool},
+    LOG_CHUNK: {"request_id": TEXT, "stream": str, "seq": int, "last": bool},
+    EXEC_RESULT: {"request_id": TEXT, "status": str, "exit_status?": int,
+                  "outputs?": {"*": dict}, "stdout?": str, "stderr?": str,
+                  "started_at?": int, "finished_at?": int, "error?": _EXEC_ERROR},
+    RUN_SUBMIT: {"request_id": TEXT, "workflow": str, "overrides?": {"*": str},
+                 "watch?": bool},
+    RUN_EVENT: {"request_id": TEXT, "kind": str, "run_id?": TEXT, "state?": str,
+                "event_doc?": dict, "code?": str, "message?": str,
+                "diagnostics?": [dict]},
+    DATA_QUERY: {"request_id": TEXT, "query": str, "run_id?": str},
+    DATA_RESULT: {"request_id": TEXT, "runs?": [dict], "meta?": dict,
+                  "records?": [dict], "events?": [dict], "error?": _ERROR_DOC},
+}
+
 
 def type_name(frame_type: int) -> str:
     return TYPE_NAMES.get(frame_type, f"0x{frame_type:02x}")
+
+
+def body_misfit(frame: "Frame") -> Optional[tuple[str, str]]:
+    """Where ``frame``'s body departs from the shape of its type, or None
+    (also for a type that has no shape)."""
+    shape = SHAPES.get(frame.type)
+    return None if shape is None else misfit(shape, frame.body or {})
 
 
 @dataclass(frozen=True)

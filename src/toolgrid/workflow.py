@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Mapping, Optional
 
 from .errors import DescriptorError, PlacementError, WorkflowParseError
-from .values import DatumType, convertible, scalar_datum
+from .values import TEXT, DatumType, convertible, misfit, scalar_datum
 
 IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*\Z")
 VERSION_RE = re.compile(r"^[A-Za-z0-9._-]+\Z")
@@ -106,32 +106,30 @@ def interface_from_json(doc: Mapping) -> ComponentInterface:
     An input's handling defaults to queued. Raises DescriptorError: SYNTAX
     for a malformed list or entry, DUPLICATE_ENDPOINT for a repeated name.
     """
-    return ComponentInterface(_endpoint_list(doc.get("inputs", []), "input"),
-                              _endpoint_list(doc.get("outputs", []), "output"))
+    return ComponentInterface(_endpoint_list(doc.get("inputs"), "input"),
+                              _endpoint_list(doc.get("outputs"), "output"))
+
+
+_ENDPOINT_SHAPES = {"input": {"name": str, "type": str, "handling?": TEXT},
+                    "output": {"name": str, "type": str}}
 
 
 def _endpoint_list(raw, direction: str) -> tuple[Endpoint, ...]:
+    """The endpoints of one list; None reads as an empty list."""
     where = f"{direction}s"
-    if not isinstance(raw, list):
-        raise DescriptorError("SYNTAX", f"{where} must be a list")
-    keys = {"name", "type", "handling"} if direction == "input" else {"name", "type"}
+    raw = [] if raw is None else raw
+    if found := misfit([_ENDPOINT_SHAPES[direction]], raw, where, closed=True):
+        raise DescriptorError("SYNTAX", "{}: {}".format(*found))
     endpoints: dict[str, Endpoint] = {}
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise DescriptorError("SYNTAX", f"{where}[{i}] must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise DescriptorError("SYNTAX", f"{where}[{i}] needs a name")
+        name = entry["name"]
         if name in endpoints:
             raise DescriptorError("DUPLICATE_ENDPOINT",
                                   f"duplicate {direction} endpoint {name!r}")
-        extra = set(entry) - keys
-        if extra:
-            raise DescriptorError("SYNTAX", f"{where}[{i}] has unknown keys {sorted(extra)}")
+        handling = (entry.get("handling") or "queued") if direction == "input" else None
         try:
-            handling = entry.get("handling", "queued") if direction == "input" else None
-            endpoints[name] = Endpoint(name, direction,
-                                       DatumType.parse(entry.get("type", "")), handling)
+            endpoints[name] = Endpoint(name, direction, DatumType.parse(entry["type"]),
+                                       handling)
         except ValueError as exc:
             raise DescriptorError("SYNTAX", f"{where}[{i}]: {exc}") from exc
     return tuple(endpoints.values())
@@ -195,19 +193,20 @@ class Diagnostic:
 
 # --- parsing -----------------------------------------------------------------
 
-_TOP_KEYS = {"name", "components", "connections", "labels"}
-_COMPONENT_KEYS = {"id", "component", "config", "placement"}
-_CONNECTION_KEYS = {"from", "to"}
+_WORKFLOW = {
+    "name?": str,
+    "components?": [{"id": str, "component": str, "config?": dict,
+                     "placement?": TEXT}],
+    "connections?": [{"from": str, "to": str}],
+    "labels?": [str],
+}
 
 
-def _split_endpoint_ref(text, where: str) -> tuple[str, str]:
-    if not isinstance(text, str) or text.count(".") != 1:
-        raise WorkflowParseError(
-            "SYNTAX", f"expected \"<instance>.<endpoint>\", got {text!r}", location=where)
-    instance, endpoint = text.split(".")
-    if not IDENT_RE.match(instance) or not IDENT_RE.match(endpoint):
-        raise WorkflowParseError(
-            "SYNTAX", f"bad endpoint reference {text!r}", location=where)
+def _split_endpoint_ref(text: str, where: str) -> tuple[str, str]:
+    instance, dot, endpoint = text.partition(".")
+    if not dot or not IDENT_RE.match(instance) or not IDENT_RE.match(endpoint):
+        raise WorkflowParseError("SYNTAX", f"expected \"<instance>.<endpoint>\", "
+                                 f"got {text!r}", location=where)
     return instance, endpoint
 
 
@@ -215,79 +214,44 @@ def parse_workflow(text: str) -> WorkflowGraph:
     """Parse a workflow document, preserving declaration order.
 
     Raises WorkflowParseError with codes SYNTAX (with line/column for JSON
-    errors), DUPLICATE_INSTANCE_ID, or UNKNOWN_FIELD.
+    errors), DUPLICATE_INSTANCE_ID, or UNKNOWN_FIELD; ``location`` names the
+    entry, like ``components[1].placement``.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkflowParseError("SYNTAX", exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise WorkflowParseError("SYNTAX", "workflow document must be a JSON object")
-    for key in doc:
-        if key not in _TOP_KEYS:
-            raise WorkflowParseError("UNKNOWN_FIELD", f"unknown field {key!r}", location=key)
-
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise WorkflowParseError("SYNTAX", "name must be text", location="name")
+    if found := misfit(_WORKFLOW, doc, closed=True):
+        where, reason = found
+        raise WorkflowParseError("UNKNOWN_FIELD" if reason == "unknown field" else "SYNTAX",
+                                 f"{where or 'workflow'}: {reason}", location=where or None)
 
     components: list[ComponentInstance] = []
     seen: set[str] = set()
-    raw_components = doc.get("components", [])
-    if not isinstance(raw_components, list):
-        raise WorkflowParseError("SYNTAX", "components must be a list", location="components")
-    for i, entry in enumerate(raw_components):
+    for i, entry in enumerate(doc.get("components") or []):
         where = f"components[{i}]"
-        if not isinstance(entry, dict):
-            raise WorkflowParseError("SYNTAX", "component entry must be an object", location=where)
-        for key in entry:
-            if key not in _COMPONENT_KEYS:
-                raise WorkflowParseError(
-                    "UNKNOWN_FIELD", f"unknown field {key!r}", location=f"{where}.{key}")
-        instance_id = entry.get("id")
-        if not isinstance(instance_id, str) or not IDENT_RE.match(instance_id):
-            raise WorkflowParseError("SYNTAX", f"bad instance id {instance_id!r}", location=where)
+        instance_id = entry["id"]
+        if not IDENT_RE.match(instance_id):
+            raise WorkflowParseError("SYNTAX", f"bad instance id {instance_id!r}",
+                                     location=f"{where}.id")
         if instance_id in seen:
             raise WorkflowParseError(
                 "DUPLICATE_INSTANCE_ID", f"duplicate instance id {instance_id!r}",
                 location=where)
         seen.add(instance_id)
         try:
-            ref = ComponentRef.parse(entry.get("component", ""))
+            ref = ComponentRef.parse(entry["component"])
         except ValueError as exc:
             raise WorkflowParseError("SYNTAX", str(exc), location=f"{where}.component") from exc
-        config = entry.get("config", {})
-        if not isinstance(config, dict):
-            raise WorkflowParseError("SYNTAX", "config must be an object", location=f"{where}.config")
-        placement = entry.get("placement", "auto")
-        if not isinstance(placement, str) or not placement:
-            raise WorkflowParseError("SYNTAX", "placement must be a node id or \"auto\"",
-                                     location=f"{where}.placement")
-        components.append(ComponentInstance(instance_id, ref, config, placement))
+        components.append(ComponentInstance(instance_id, ref, entry.get("config") or {},
+                                            entry.get("placement") or "auto"))
 
-    connections: list[Connection] = []
-    raw_connections = doc.get("connections", [])
-    if not isinstance(raw_connections, list):
-        raise WorkflowParseError("SYNTAX", "connections must be a list", location="connections")
-    for i, entry in enumerate(raw_connections):
-        where = f"connections[{i}]"
-        if not isinstance(entry, dict):
-            raise WorkflowParseError("SYNTAX", "connection entry must be an object", location=where)
-        for key in entry:
-            if key not in _CONNECTION_KEYS:
-                raise WorkflowParseError(
-                    "UNKNOWN_FIELD", f"unknown field {key!r}", location=f"{where}.{key}")
-        if "from" not in entry or "to" not in entry:
-            raise WorkflowParseError("SYNTAX", "connection needs from and to", location=where)
-        src_inst, src_port = _split_endpoint_ref(entry["from"], f"{where}.from")
-        dst_inst, dst_port = _split_endpoint_ref(entry["to"], f"{where}.to")
-        connections.append(Connection(src_inst, src_port, dst_inst, dst_port))
-
-    raw_labels = doc.get("labels", [])
-    if not isinstance(raw_labels, list) or any(not isinstance(x, str) for x in raw_labels):
-        raise WorkflowParseError("SYNTAX", "labels must be a list of text", location="labels")
-
-    return WorkflowGraph(name, tuple(components), tuple(connections), tuple(raw_labels))
+    connections = [
+        Connection(*_split_endpoint_ref(entry["from"], f"connections[{i}].from"),
+                   *_split_endpoint_ref(entry["to"], f"connections[{i}].to"))
+        for i, entry in enumerate(doc.get("connections") or [])]
+    return WorkflowGraph(doc.get("name") or "", tuple(components), tuple(connections),
+                         tuple(doc.get("labels") or ()))
 
 
 def serialize_workflow(graph: WorkflowGraph) -> str:

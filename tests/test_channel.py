@@ -7,6 +7,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toolgrid import node as node_module
 from toolgrid import wire
@@ -19,7 +21,7 @@ from toolgrid.uplink import UplinkLink
 from toolgrid.values import Datum
 from toolgrid.wire import MAX_FRAME, Frame, FrameReader
 
-from helpers import instance, link_nodes, wait_until, workflow
+from helpers import edge, instance, link_nodes, wait_until, workflow
 from test_node import identity_descriptor
 from test_uplink import TOKENS, RawClient, uplinked
 
@@ -274,6 +276,57 @@ def test_a_run_through_an_undecodable_exec_result_fails_as_transport(make_node):
     assert engine.failure["code"] == "TRANSPORT"
 
 
+# each body departs from fake@1's interface (one integer output, out) or from
+# the EXEC_RESULT shape; the rest of the result is valid
+MISMATCHED_RESULTS = {
+    "exit-status-text": {"exit_status": "7"},
+    "exit-status-true": {"exit_status": True},
+    "exit-status-float": {"exit_status": 3.9},
+    "exit-status-not-zero": {"exit_status": 7},
+    "no-outputs": {"outputs": {}},
+    "output-of-another-type": {"outputs": {"out": {"type": "text", "value": "7"}}},
+    "an-extra-output": {"outputs": {"out": {"type": "integer", "value": 7},
+                                    "bogus": {"type": "integer", "value": 1}}},
+    "started-at-text": {"started_at": "12"},
+}
+
+
+def _run_through(caller, tmp_path):
+    """Run fake@1 into an output-writer on ``caller``; the finished engine."""
+    engine = caller.start_run(workflow("remote", [
+        instance("t", "fake@1", {"x": 1}),
+        instance("sink", "output-writer@1", {"target": str(tmp_path / "out"),
+                                             "inputs": {"v": "integer"}})],
+        [edge("t.out", "sink.v")]))
+    engine.wait(10)
+    return engine
+
+
+def test_a_result_that_matches_the_interface_completes_the_run(make_node, tmp_path):
+    caller, _ = _host_that_replies(make_node, {
+        "exit_status": 0, "outputs": {"out": {"type": "integer", "value": 7}},
+        "started_at": 12, "finished_at": 13})
+    engine = _run_through(caller, tmp_path)
+    assert engine.run_state() == "COMPLETED"
+    assert [r.instance_id for r in caller.store.query_run(engine.run_id)] == [
+        "t", "sink"]
+
+
+@pytest.mark.parametrize("result", MISMATCHED_RESULTS.values(),
+                         ids=MISMATCHED_RESULTS.keys())
+def test_a_result_that_does_not_match_the_interface_fails_as_transport(
+        result, make_node, tmp_path):
+    caller, _ = _host_that_replies(make_node, {
+        "exit_status": 0, "outputs": {"out": {"type": "integer", "value": 7}},
+        **result})
+    engine = _run_through(caller, tmp_path)
+    assert engine.run_state() == "FAILED"
+    assert engine.failure["code"] == "TRANSPORT"
+    # the writer never fired, and the failed firing records no output
+    [record] = caller.store.query_run(engine.run_id)
+    assert (record.instance_id, record.status, record.outputs) == ("t", "failed", {})
+
+
 def _host_that_answers(make_node, reply_type, reply):
     """A caller node linked over a socketpair to a fake host that offers
     fake@1 and answers every request with a ``reply_type`` frame whose body is
@@ -358,3 +411,63 @@ def test_a_failed_remote_firing_records_only_the_logs_it_received(make_node):
     [record] = caller.store.query_run(engine.run_id)
     assert record.status == "failed" and record.error["code"] == "TRANSPORT"
     assert all(caller.blobs.has(digest) for digest in _blob_refs(record))
+
+
+# a valid reply body per request; the fuzz below mutates it
+VALID_REPLIES = {
+    "exec": (wire.EXEC_RESULT, {
+        "status": "ok", "exit_status": 0, "outputs": {}, "stdout": NO_LOG,
+        "stderr": NO_LOG, "started_at": 1, "finished_at": 2}),
+    "doc": (wire.DOC_RESPONSE, {"ok": True, "encrypted": False, "doc": "manual"}),
+    "runs": (wire.DATA_RESULT, {"runs": [{"run_id": "r1", "state": "COMPLETED"}]}),
+    "run": (wire.DATA_RESULT, {"meta": {"run_id": "r1"}, "records": [],
+                               "events": []}),
+    "submit": (wire.RUN_EVENT, {"kind": "accepted", "run_id": "r1"}),
+}
+# one value of each JSON type
+JSON_VALUES = [None, True, 7, 2.5, "x", [1], {"a": 1}]
+
+
+@pytest.mark.parametrize("request_kind", VALID_REPLIES)
+def test_a_mutated_reply_ends_the_call_as_transport_or_is_read(request_kind,
+                                                               make_node):
+    """Drop a key of a valid reply, swap a value's JSON type or add a key:
+    the call succeeds only on a body that fits its shape, and fails only as
+    TRANSPORT, never INTERNAL."""
+    reply_type, valid = VALID_REPLIES[request_kind]
+    reply = dict(valid)  # the fake host answers with what this holds now
+    caller, host_id = _host_that_answers(make_node, reply_type, reply)
+    mutation = st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(sorted(valid))),
+        st.tuples(st.just("swap"), st.sampled_from(sorted(valid)),
+                  st.sampled_from(JSON_VALUES)),
+        st.tuples(st.just("add"), st.sampled_from(["extra", "origin", "target"]),
+                  st.sampled_from(JSON_VALUES)))
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(st.lists(mutation, min_size=1, max_size=3))
+    def mutated(mutations):
+        body = dict(valid)
+        for kind, key, *value in mutations:
+            if kind == "drop":
+                body.pop(key, None)
+            elif kind == "add" or type(value[0]) is not type(valid[key]):
+                body[key] = value[0]
+        reply.clear()
+        reply.update(body)
+        fits = wire.body_misfit(Frame(reply_type, dict(body, request_id="r"))) is None
+        if request_kind == "exec":
+            engine = caller.start_run(workflow("fuzz", [instance("t", "fake@1")], []))
+            assert engine.wait(10) in ("COMPLETED", "FAILED")
+            [record] = caller.store.query_run(engine.run_id)
+            assert record.status == "failed" or fits, body
+            assert engine.failure is None or engine.failure["code"] == "TRANSPORT"
+            return
+        try:
+            REQUESTS[request_kind](caller, host_id, PUBLIC)
+        except ToolgridError as exc:
+            assert exc.code == "TRANSPORT", body
+        else:
+            assert fits, body
+
+    mutated()

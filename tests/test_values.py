@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from toolgrid.values import (
     INT64_MAX,
     INT64_MIN,
+    TEXT,
     Datum,
     DatumType,
     FileRef,
@@ -13,6 +14,7 @@ from toolgrid.values import (
     convertible,
     datum_from_json,
     infer_scalar_type,
+    misfit,
     scalar_datum,
 )
 
@@ -154,3 +156,40 @@ def test_inferred_scalars_roundtrip_json(value):
     back = datum_from_json(d.to_json())
     assert back == d
     assert back.value == value and type(back.value) is type(value)
+
+
+SHAPE = {"id": TEXT, "count?": int, "flag?": bool, "tags?": [str],
+         "env?": {"*": str}, "inner?": {"path": str}, "any?": dict}
+
+
+@pytest.mark.parametrize("doc, found", [
+    ({"id": "a"}, None),
+    ({"id": "a", "count": None, "tags": [], "env": {}, "any": {"k": [1]}}, None),
+    ({"id": "a", "unnamed": 1}, None),  # open unless closed
+    ([], ("", "expected object")),
+    ({}, ("id", "missing")),
+    ({"id": None}, ("id", "missing")),
+    ({"id": ""}, ("id", "expected non-empty text")),
+    ({"id": "a", "count": True}, ("count", "expected integer")),
+    ({"id": "a", "count": 1.0}, ("count", "expected integer")),
+    ({"id": "a", "flag": 0}, ("flag", "expected boolean")),
+    ({"id": "a", "tags": ["x", 2]}, ("tags[1]", "expected text")),
+    ({"id": "a", "tags": "x"}, ("tags", "expected list")),
+    ({"id": "a", "env": {"HOME": 1}}, ("env.HOME", "expected text")),
+    ({"id": "a", "inner": {}}, ("inner.path", "missing")),
+    ({"id": "a", "any": []}, ("any", "expected object")),
+])
+def test_misfit_names_the_first_departure(doc, found):
+    assert misfit(SHAPE, doc) == found
+
+
+def test_a_closed_shape_refuses_unnamed_keys_at_every_level():
+    assert misfit(SHAPE, {"id": "a", "extra": 1}, closed=True) == (
+        "extra", "unknown field")
+    assert misfit(SHAPE, {"id": "a", "inner": {"path": "p", "mode": 1}},
+                  closed=True) == ("inner.mode", "unknown field")
+    # the values of a "*" map and of a dict kind are not keys of the shape
+    assert misfit(SHAPE, {"id": "a", "env": {"X": "1"}, "any": {"k": 1}},
+                  closed=True) is None
+    assert misfit([{"name": str}], [{"name": "x", "unit": "m"}], "inputs",
+                  closed=True) == ("inputs[0].unit", "unknown field")
