@@ -38,6 +38,15 @@ def check_golden(name: str, text: str) -> None:
     assert text == path.read_text()
 
 
+def check_export_blobs(node, dest: Path, name: str) -> None:
+    """Export ``node``'s one run to ``dest`` and compare the blob entries of
+    its manifest, already sorted by path, with the golden file ``name``."""
+    [run] = node.store.list_runs()
+    manifest = node.store.export_run(run["run_id"], dest)
+    blobs = [entry for entry in manifest["files"] if entry["path"].startswith("blobs/")]
+    check_golden(name, json.dumps(blobs, indent=2) + "\n")
+
+
 def test_a_grid_loop_records_the_golden_log(node):
     state, text = records_log(node, grid_loop("golden-grid", 20))
     assert state == "COMPLETED"
@@ -73,6 +82,7 @@ def test_a_lan_file_tool_records_the_golden_log(make_node, tmp_path):
     assert state == "COMPLETED"
     check_golden("lan_file_tool.log", normalise_records(
         text, {controller.node_id: "controller", host.node_id: "host"}))
+    check_export_blobs(controller, tmp_path / "export", "lan_file_tool.blobs.json")
 
 
 def test_a_failing_lan_tool_records_the_golden_log(make_node, tmp_path):
@@ -149,6 +159,7 @@ def test_a_lan_tool_that_writes_stdout_records_the_golden_log(make_node, tmp_pat
     assert state == "COMPLETED"
     check_golden("lan_tool_stdout.log", normalise_records(
         text, {controller.node_id: "controller", host.node_id: "host"}))
+    check_export_blobs(controller, tmp_path / "export", "lan_tool_stdout.blobs.json")
 
 
 def test_a_stall_records_the_golden_log(node, tmp_path):
