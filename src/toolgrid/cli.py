@@ -127,15 +127,15 @@ def main(ctx: click.Context, config_dir: str | None, as_json: bool) -> None:
 def serve(ctx: click.Context) -> None:
     """Run this node: listen, connect peers and uplink, host tools."""
     config = _load(ctx)
+    # before the node reports ready, so a change written after that is seen
+    config_path = config.config_dir / "config.json"
+    last_mtime = config_path.stat().st_mtime if config_path.exists() else 0.0
     node = Node(config)
     node.start()
     where = f"{config.listen} " if config.listen else ""
     _emit(ctx, {"node_id": node.node_id, "listen": config.listen,
                 "port": node.listen_port},
           f"node {node.node_id} serving {where}(ctrl-c to stop)")
-
-    config_path = config.config_dir / "config.json"
-    last_mtime = config_path.stat().st_mtime if config_path.exists() else 0.0
 
     def poll_config() -> None:
         nonlocal last_mtime

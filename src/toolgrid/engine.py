@@ -175,7 +175,8 @@ class Engine:
         self.store.open_run(self.run_id, serialize_workflow(self.graph),
                             workflow_name=self.graph.name,
                             controller_node=self._controller,
-                            placement=placement, created_at=self._clock.now())
+                            placement=placement, created_at=self._clock.now(),
+                            buffered=True)
         threading.Thread(target=self._main, name=f"run-{self.run_id}").start()
 
     def _main(self) -> None:
@@ -185,6 +186,8 @@ class Engine:
             self._seed()
             self._pump()
             while not self._over():
+                # readers see the run's lines whenever this thread waits
+                self.store.flush(self.run_id)
                 try:
                     handle = self._inbox.get(timeout=None if self._deadline is None
                                              else max(self._deadline - time.monotonic(), 0))

@@ -1266,14 +1266,17 @@ class Node:
                         raise NetworkError("TRANSPORT", "acceptance names no run")
                     if watch is None or done:
                         return run_id
-                elif kind == "event" and watch is not None:
-                    watch(body.get("event_doc") or {})
+                elif kind == "event":
+                    if watch is not None:
+                        watch(body.get("event_doc") or {})
                 elif kind == "done":
                     # a short run can finish before the acceptance frame is
                     # written; keep reading until the run_id shows up
                     if run_id is not None:
                         return run_id
                     done = True
+                else:
+                    raise NetworkError("TRANSPORT", f"unknown run event kind {kind!r}")
         finally:
             session.drop_queue(request_id)
 

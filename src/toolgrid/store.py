@@ -242,14 +242,16 @@ class RunStore:
     def open_run(self, run_id: str, workflow_text: str, *,
                  workflow_name: str = "", controller_node: str = "",
                  placement: Mapping[str, str] | None = None,
-                 created_at: int = 0) -> None:
+                 created_at: int = 0, buffered: bool = False) -> None:
+        """Start a run's records. A ``buffered`` run's lines wait in an io
+        buffer until its owner calls ``flush`` or ``close_run``, or the buffer
+        fills; any other run's lines reach the file one by one, as appended."""
         run_dir = self._run_dir(run_id)
         if run_dir.exists():
             raise DataError("DUPLICATE_KEY", f"run {run_id!r} already exists")
         run_dir.mkdir(parents=True)
         (run_dir / "workflow.json").write_text(workflow_text)
-        # line-buffered, so other readers see each line once it is written
-        log = open(run_dir / "records.log", "a", buffering=1)
+        log = open(run_dir / "records.log", "a", buffering=-1 if buffered else 1)
         self._write_meta(run_id, {
             "run_id": run_id,
             "workflow_name": workflow_name,
@@ -323,6 +325,12 @@ class RunStore:
             self._check_open(run_id)
             self._append_line(run_id, line)
 
+    def flush(self, run_id: str) -> None:
+        """Write out the lines a buffered run holds in its io buffer."""
+        with self._lock:
+            if run_id in self._logs:
+                self._logs[run_id].flush()
+
     def _docs(self, run_id: str, kind: str) -> Iterator[dict]:
         """Parse each line of a run's records.log in turn; yield the ``kind`` ones."""
         try:
@@ -361,16 +369,19 @@ class RunStore:
         if state not in TERMINAL_STATES:
             raise DataError("BAD_STATE", f"{state!r} is not a terminal state")
         with self._lock:
-            meta = self._read_meta(run_id)
-            if meta["state"] in TERMINAL_STATES:
-                raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
-            meta["state"] = state
-            meta["closed_at"] = closed_at
-            self._write_meta(run_id, meta)
             # nothing more is appended, so duplicate checks are over
             self._seen_keys.pop(run_id, None)
-            if run_id in self._logs:
-                self._logs.pop(run_id).close()
+            log = self._logs.pop(run_id, None)
+            try:  # the log first, so its buffered lines are written whatever follows
+                if log is not None:
+                    log.close()
+            finally:  # and run.json is closed even when the log cannot be written
+                meta = self._read_meta(run_id)
+                if meta["state"] in TERMINAL_STATES:
+                    raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
+                meta["state"] = state
+                meta["closed_at"] = closed_at
+                self._write_meta(run_id, meta)
 
     def close(self) -> None:
         """Close every held records.log; open runs stay readable and appendable."""

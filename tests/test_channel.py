@@ -386,6 +386,7 @@ UNREADABLE_REPLIES = {
     "run-id-not-text": ("submit", wire.RUN_EVENT, {"kind": "accepted", "run_id": 5}),
     "run-event-doc-is-text": ("watch", wire.RUN_EVENT,
                               {"kind": "event", "event_doc": "started"}),
+    "run-event-of-unknown-kind": ("submit", wire.RUN_EVENT, {"kind": "x"}),
 }
 
 

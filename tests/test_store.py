@@ -1,17 +1,23 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import re
+import shutil
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import toolgrid.store
 from toolgrid.errors import DataError
 from toolgrid.store import (BlobStore, ExecutionRecord, RunStore, _blob_refs, _encode_line,
                             compile_firing_lines, datum_json, sha256_hex)
 from toolgrid.values import INT64_MAX, INT64_MIN, Datum, datum_from_json
+
+from helpers import grid_loop, instance, script_config, wait_until, workflow, write_tool
 
 WORKFLOW_TEXT = '{"name": "demo", "components": [], "connections": []}'
 
@@ -573,6 +579,104 @@ def test_close_run_closes_and_drops_the_handle(store):
         store.record_execution("r1", *execution(record(seq=1, inst="late")))
     assert err.value.code == "RUN_CLOSED"
     assert [e["event"] for e in store.events("r1")] == ["run-started"]
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closing_a_run_whose_run_json_is_gone_still_writes_its_lines(store, tmp_path,
+                                                                     buffered):
+    store.open_run("r1", WORKFLOW_TEXT, buffered=buffered)
+    store.append_event("r1", 10, "run-started")
+    store.record_execution("r1", *execution(record()))
+    log = store._logs["r1"]
+    (tmp_path / "store" / "runs" / "r1" / "run.json").unlink()
+    with pytest.raises(DataError) as err:
+        store.close_run("r1", "COMPLETED")
+    assert err.value.code == "NOT_FOUND"
+    assert log.closed and "r1" not in store._logs
+    assert [e["event"] for e in store.events("r1")] == ["run-started"]
+    assert len(store.query_run("r1")) == 1
+
+
+def open_records_log_over(monkeypatch, raw_file):
+    """Let store.py open records.log for appending as open() does, but over
+    the raw file class ``raw_file``."""
+    def patched(path, mode="r", buffering=-1, **kwargs):
+        if Path(path).name != "records.log" or mode != "a":
+            return open(path, mode, buffering, **kwargs)
+        return io.TextIOWrapper(io.BufferedWriter(raw_file(path, "a")),
+                                line_buffering=buffering == 1, **kwargs)
+
+    monkeypatch.setattr(toolgrid.store, "open", patched, raising=False)
+
+
+def test_a_log_that_cannot_be_written_still_closes_run_json(store, monkeypatch):
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    open_records_log_over(monkeypatch, FullDisk)
+    store.open_run("r1", WORKFLOW_TEXT, buffered=True)
+    store.append_event("r1", 10, "run-started")
+    log = store._logs["r1"]
+    with pytest.raises(OSError):
+        store.close_run("r1", "FAILED")
+    assert log.closed and store.run_state("r1") == "FAILED"
+
+
+def test_a_run_writes_its_records_log_in_few_large_writes(node, monkeypatch):
+    writes = []
+
+    class CountingFile(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    open_records_log_over(monkeypatch, CountingFile)
+    engine = node.start_run(grid_loop("writes", 500))
+    assert engine.wait(60) == "COMPLETED"
+    data = (node.store.root / "runs" / engine.run_id / "records.log").read_bytes()
+    assert data.count(b"\n") > 3000 and sum(writes) == len(data)
+    assert len(writes) * 10 <= data.count(b"\n"), len(writes)
+
+
+def test_a_second_store_sees_a_firing_start_while_the_run_waits(node, tmp_path):
+    flag = tmp_path / "go"
+    waiter = write_tool(tmp_path / "wait.py", (
+        "import time\n"
+        "deadline = time.monotonic() + 30\n"
+        f"while not Path({str(flag)!r}).exists() and time.monotonic() < deadline:\n"
+        "    time.sleep(0.02)\n"))
+    engine = node.start_run(workflow(
+        "waits", [instance("wait", "script@1", script_config(waiter, {}, {}))], []))
+    reader = RunStore(node.config.store_dir)
+    try:
+        assert wait_until(lambda: [(e["event"], e.get("instance"))
+                                   for e in reader.events(engine.run_id)][-1:]
+                          == [("firing-started", "wait")])
+        assert engine.run_state() == "RUNNING"
+    finally:
+        flag.touch()
+    assert engine.wait(60) == "COMPLETED"
+
+
+@pytest.mark.parametrize("evals, step", [(2, 1), (20, 512)])
+def test_a_records_log_cut_anywhere_reads_as_a_prefix_of_the_run(node, tmp_path,
+                                                                 evals, step):
+    """A buffer boundary can cut a running run's last line at any byte."""
+    engine = node.start_run(grid_loop("cut", evals))
+    assert engine.wait(60) == "COMPLETED"
+    records, events = node.store.query_run(engine.run_id), node.store.events(engine.run_id)
+    run_dir = node.store.root / "runs" / engine.run_id
+    data = (run_dir / "records.log").read_bytes()
+    cut = tmp_path / "cut" / "runs" / engine.run_id
+    shutil.copytree(run_dir, cut)
+    reader = RunStore(tmp_path / "cut")
+    for size in [*range(0, len(data), step), len(data)]:
+        (cut / "records.log").write_bytes(data[:size])
+        seen, seen_events = reader.query_run(engine.run_id), reader.events(engine.run_id)
+        assert seen == records[:len(seen)] and seen_events == events[:len(seen_events)]
+        assert len(seen) + len(seen_events) == data[:size].count(b"\n"), size
+    assert (seen, seen_events) == (records, events)
 
 
 def test_closing_the_store_keeps_open_runs_readable(store):
