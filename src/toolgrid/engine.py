@@ -28,6 +28,7 @@ import time
 import uuid
 from collections import deque
 from concurrent.futures import Executor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -175,12 +176,17 @@ class Engine:
         self.store.open_run(self.run_id, serialize_workflow(self.graph),
                             workflow_name=self.graph.name,
                             controller_node=self._controller,
-                            placement=placement, created_at=self._clock.now(),
-                            buffered=True)
+                            placement=placement, created_at=self._clock.now())
         threading.Thread(target=self._main, name=f"run-{self.run_id}").start()
 
     def _main(self) -> None:
-        """The run thread: set up, seed, fire and handle messages, then close."""
+        """The run thread: set up, seed, fire and handle messages, then close.
+
+        An error ends the run FAILED, and is logged unless a ToolgridError.
+        Errors in recording that end are dropped (a full disk fails every
+        append), so run.json is still closed and nothing escapes the thread.
+        """
+        at = None
         try:
             self._emit("run-started", workflow=self.graph.name)
             self._seed()
@@ -195,18 +201,22 @@ class Engine:
                     break  # the grace is over: abandon in-flight firings
                 handle()
                 self._pump()
+            at = self._record_end()
+            self.store.close_run(self.run_id, self._state, closed_at=self._clock.now())
         except Exception as exc:
             if not isinstance(exc, ToolgridError):
                 logging.getLogger(__name__).exception("run %s failed", self.run_id)
                 exc = ToolgridError("INTERNAL", repr(exc))
             self.failure = {"code": exc.code, "message": exc.message}
             self._state = FAILED
-            self._emit("run-failed", code=exc.code, message=exc.message)
-        finally:
-            try:
-                self._close()
-            finally:
-                self._done.set()
+            with suppress(Exception):
+                self._emit("run-failed", code=exc.code, message=exc.message)
+                at = self._record_end()
+            with suppress(Exception):
+                self.store.close_run(self.run_id, FAILED, closed_at=self._clock.now())
+        # watchers hear of the end once run.json says so
+        self._notify(at or self._clock.now(), "run-finished", state=self._state)
+        self._done.set()
 
     def _seed(self) -> None:
         for slot in self._slots.values():
@@ -357,14 +367,12 @@ class Engine:
             self._state = self._check_stall()
         return True
 
-    def _close(self) -> None:
+    def _record_end(self) -> int:
+        """Append ``run-finished``, write the run's lines out; returns its stamp."""
         at = self._clock.now()
-        try:
-            self.store.append_event(self.run_id, at, "run-finished", state=self._state)
-        finally:
-            self.store.close_run(self.run_id, self._state, closed_at=self._clock.now())
-        # watchers hear of the end once run.json says so
-        self._notify(at, "run-finished", state=self._state)
+        self.store.append_event(self.run_id, at, "run-finished", state=self._state)
+        self.store.flush(self.run_id)
+        return at
 
     # -- public surface ----------------------------------------------------------
 

@@ -814,7 +814,6 @@ class Node:
         for session in sessions:
             session.close()
         self._pool.shutdown(wait=False, cancel_futures=True)
-        self.store.close()
 
     # -- inbound frames ------------------------------------------------------------
 
@@ -1033,8 +1032,6 @@ class Node:
         finally:
             channel.drop_queue(request_id)
 
-        for data in chunks.blobs.values():
-            self.blobs.put(data)
         # the host's log digests must name the logs it streamed
         logs = (self.blobs.put(bytes(chunks.logs["stdout"])),
                 self.blobs.put(bytes(chunks.logs["stderr"])))
@@ -1062,13 +1059,14 @@ class Node:
                          for name, doc in (result.get("outputs") or {}).items()]
         except (ValueError, TypeError, KeyError) as exc:
             raise NetworkError("TRANSPORT", f"undecodable result: {exc}") from exc
-        for _, datum in emissions:
-            if datum.type is DatumType.FILE and not self.blobs.has(datum.value.digest):
-                raise NetworkError(
-                    "TRANSPORT",
-                    f"output blob {datum.value.digest[:12]} never arrived")
         if (result.get("stdout"), result.get("stderr")) != logs:
             raise NetworkError("TRANSPORT", "log digests do not match the result")
+        for _, datum in emissions:  # only the blobs the result names are kept
+            digest = datum.value.digest if datum.type is DatumType.FILE else None
+            if digest in chunks.blobs:
+                self.blobs.put(chunks.blobs[digest])
+            elif digest and not self.blobs.has(digest):
+                raise NetworkError("TRANSPORT", f"output blob {digest[:12]} never arrived")
         return FiringResult(emissions, 0, *logs, result.get("started_at"),
                             result.get("finished_at"))
 

@@ -214,9 +214,9 @@ class RunStore:
     def __init__(self, root: Path):
         self.root = Path(root)
         self.blobs = BlobStore(root)
-        self._seen_keys: dict[str, set[tuple[str, int]]] = {}
-        # records.log handles of the runs this store opened and has not closed
-        self._logs: dict[str, TextIO] = {}
+        # the runs this store opened and has not closed: the one append handle
+        # on each records.log and the (instance_id, execution_index) keys in it
+        self._open: dict[str, tuple[TextIO, set[tuple[str, int]]]] = {}
         self._lock = threading.Lock()
 
     def _run_dir(self, run_id: str) -> Path:
@@ -242,16 +242,16 @@ class RunStore:
     def open_run(self, run_id: str, workflow_text: str, *,
                  workflow_name: str = "", controller_node: str = "",
                  placement: Mapping[str, str] | None = None,
-                 created_at: int = 0, buffered: bool = False) -> None:
-        """Start a run's records. A ``buffered`` run's lines wait in an io
-        buffer until its owner calls ``flush`` or ``close_run``, or the buffer
-        fills; any other run's lines reach the file one by one, as appended."""
+                 created_at: int = 0) -> None:
+        """Start a run's records. This store alone appends to them, until
+        ``close_run``; its lines wait in an io buffer until ``flush``, a read
+        through this store or ``close_run``, or until the buffer fills."""
         run_dir = self._run_dir(run_id)
         if run_dir.exists():
             raise DataError("DUPLICATE_KEY", f"run {run_id!r} already exists")
         run_dir.mkdir(parents=True)
         (run_dir / "workflow.json").write_text(workflow_text)
-        log = open(run_dir / "records.log", "a", buffering=-1 if buffered else 1)
+        log = open(run_dir / "records.log", "a")
         self._write_meta(run_id, {
             "run_id": run_id,
             "workflow_name": workflow_name,
@@ -262,8 +262,7 @@ class RunStore:
             "placement": dict(placement or {}),
         })
         with self._lock:
-            self._seen_keys[run_id] = set()
-            self._logs[run_id] = log
+            self._open[run_id] = (log, set())
 
     def run_state(self, run_id: str) -> str:
         return self._read_meta(run_id)["state"]
@@ -277,24 +276,12 @@ class RunStore:
             raise DataError("NOT_FOUND", f"no run {run_id!r}")
         return path.read_text()
 
-    def _check_open(self, run_id: str) -> None:
-        if run_id not in self._logs and self.run_state(run_id) in TERMINAL_STATES:
-            raise DataError("RUN_CLOSED", f"run {run_id!r} is closed")
-
-    def _append_line(self, run_id: str, line: str) -> None:
-        line += "\n"
-        if run_id in self._logs:
-            self._logs[run_id].write(line)
-            return
-        with open(self._run_dir(run_id) / "records.log", "a") as fh:
-            fh.write(line)
-
-    def _keys(self, run_id: str) -> set[tuple[str, int]]:
-        if run_id not in self._seen_keys:
-            self._seen_keys[run_id] = {
-                (doc["instance_id"], doc["execution_index"])
-                for doc in self._docs(run_id, "execution")}
-        return self._seen_keys[run_id]
+    def _held(self, run_id: str) -> tuple[TextIO, set[tuple[str, int]]]:
+        """The handle and key set of a run open in this store; under the lock."""
+        held = self._open.get(run_id)
+        if held is None:
+            raise DataError("RUN_CLOSED", f"run {run_id!r} is not open in this store")
+        return held
 
     def record_execution(self, run_id: str, key: tuple[str, int],
                          refs: Collection[str], line: str) -> None:
@@ -304,8 +291,7 @@ class RunStore:
         the blob digests it names; the store checks both, not the line.
         """
         with self._lock:
-            self._check_open(run_id)
-            keys = self._keys(run_id)
+            log, keys = self._held(run_id)
             if key in keys:
                 raise DataError("DUPLICATE_KEY",
                                 f"record for {key} already exists in run {run_id!r}")
@@ -313,7 +299,7 @@ class RunStore:
             if dangling:
                 raise DataError("DANGLING_REF",
                                 f"record references unstored blobs: {', '.join(dangling)}")
-            self._append_line(run_id, line)
+            log.write(line + "\n")
             keys.add(key)
 
     def append_event(self, run_id: str, at: int, event: str, *,
@@ -322,17 +308,17 @@ class RunStore:
         if line is None:
             line = _encode_line({"kind": "event", "at": at, "event": event, **fields})
         with self._lock:
-            self._check_open(run_id)
-            self._append_line(run_id, line)
+            self._held(run_id)[0].write(line + "\n")
 
     def flush(self, run_id: str) -> None:
-        """Write out the lines a buffered run holds in its io buffer."""
+        """Write out the lines a run open in this store holds in its io buffer."""
         with self._lock:
-            if run_id in self._logs:
-                self._logs[run_id].flush()
+            if run_id in self._open:
+                self._open[run_id][0].flush()
 
     def _docs(self, run_id: str, kind: str) -> Iterator[dict]:
         """Parse each line of a run's records.log in turn; yield the ``kind`` ones."""
+        self.flush(run_id)  # so this store reads every line it appended
         try:
             log = open(self._run_dir(run_id) / "records.log", "rb")
         except FileNotFoundError:
@@ -369,12 +355,10 @@ class RunStore:
         if state not in TERMINAL_STATES:
             raise DataError("BAD_STATE", f"{state!r} is not a terminal state")
         with self._lock:
-            # nothing more is appended, so duplicate checks are over
-            self._seen_keys.pop(run_id, None)
-            log = self._logs.pop(run_id, None)
+            log, _ = self._held(run_id)
+            del self._open[run_id]  # nothing more is appended, or checked
             try:  # the log first, so its buffered lines are written whatever follows
-                if log is not None:
-                    log.close()
+                log.close()
             finally:  # and run.json is closed even when the log cannot be written
                 meta = self._read_meta(run_id)
                 if meta["state"] in TERMINAL_STATES:
@@ -382,12 +366,6 @@ class RunStore:
                 meta["state"] = state
                 meta["closed_at"] = closed_at
                 self._write_meta(run_id, meta)
-
-    def close(self) -> None:
-        """Close every held records.log; open runs stay readable and appendable."""
-        with self._lock:
-            while self._logs:
-                self._logs.popitem()[1].close()
 
     def list_runs(self) -> list[dict]:
         runs_dir = self.root / "runs"

@@ -215,9 +215,10 @@ def test_a_host_that_fails_still_answers(kind, request_kind, make_node, make_rel
 NO_LOG = sha256_hex(b"")  # the digest of a log the host sent no chunk of
 
 
-def _host_that_replies(make_node, result):
+def _host_that_replies(make_node, result, blobs=()):
     """A caller node linked over a socketpair to a fake host that offers
-    fake@1 and answers every EXEC_REQUEST with ``result``."""
+    fake@1 and answers every EXEC_REQUEST with ``result``, after a
+    BLOB_CHUNK of each of ``blobs``."""
     host_id = "f" * 32
     ours, theirs = socket.socketpair()
     theirs.sendall(wire.encode_frame(Frame(wire.HELLO, {
@@ -235,6 +236,11 @@ def _host_that_replies(make_node, result):
         with theirs:
             while (frame := reader.next_frame()) is not None:
                 if frame.type == wire.EXEC_REQUEST:
+                    for data in blobs:
+                        theirs.sendall(wire.encode_frame(Frame(wire.BLOB_CHUNK, {
+                            "request_id": frame.body["request_id"],
+                            "digest": sha256_hex(data), "role": "output", "seq": 0,
+                            "last": True}, data)))
                     theirs.sendall(wire.encode_frame(Frame(wire.EXEC_RESULT, {
                         "request_id": frame.body["request_id"], "status": "ok",
                         "stdout": NO_LOG, "stderr": NO_LOG, **result})))
@@ -274,6 +280,23 @@ def test_a_run_through_an_undecodable_exec_result_fails_as_transport(make_node):
         "remote", [instance("t", "fake@1", {"x": 1})], []))
     assert engine.wait(10) == "FAILED"
     assert engine.failure["code"] == "TRANSPORT"
+
+
+@pytest.mark.parametrize("status", ["ok", "failed"])
+def test_a_caller_keeps_only_the_blobs_an_ok_result_names(status, make_node):
+    named, unnamed = b"named output", b"sent but never named"
+    output = Datum.file(sha256_hex(named), "out.bin").to_json()
+    result = ({"exit_status": 0, "outputs": {"out": output}} if status == "ok" else
+              {"status": "failed", "error": {"code": "TOOL_FAILED", "message": "exit 1"}})
+    caller, host_id = _host_that_replies(make_node, result, blobs=[named, unnamed])
+    if status == "ok":
+        caller.remote_execute(host_id, "fake@1", PUBLIC, {"x": Datum.integer(1)})
+    else:
+        with pytest.raises(ToolgridError) as err:
+            caller.remote_execute(host_id, "fake@1", PUBLIC, {"x": Datum.integer(1)})
+        assert err.value.code == "TOOL_FAILED"
+    assert caller.blobs.has(sha256_hex(named)) == (status == "ok")
+    assert not caller.blobs.has(sha256_hex(unnamed))
 
 
 # each body departs from fake@1's interface (one integer output, out) or from

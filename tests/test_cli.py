@@ -566,10 +566,7 @@ def test_run_with_lan_peers_places_without_sleeping(cfg, tmp_path, make_node,
     assert result.exit_code == 0, result.output
     run_id = json_docs(result.stdout)[0]["run_id"]
     store = RunStore(NodeConfig(cfg).store_dir)
-    try:
-        placed = {r.instance_id: r.node for r in store.query_run(run_id)}
-    finally:
-        store.close()
+    placed = {r.instance_id: r.node for r in store.query_run(run_id)}
     assert placed["echo"] == min(peer.node_id for peer in peers)
 
 

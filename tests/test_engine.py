@@ -5,7 +5,7 @@ import time
 import pytest
 
 from toolgrid.errors import DataError, EngineError
-from toolgrid.store import BlobStore, _blob_refs, sha256_hex
+from toolgrid.store import BlobStore, RunStore, _blob_refs, sha256_hex
 
 from helpers import (
     BABYLONIAN_BODY,
@@ -558,6 +558,10 @@ def test_stopping_the_node_cancels_a_live_run(node, tmp_path):
     node.stop()
     assert engine.wait(10) == "CANCELLED"
     assert node.store.run_state(engine.run_id) == "CANCELLED"
+    # the run thread closed its own handle, and wrote its last line through it
+    assert engine.run_id not in node.store._open
+    last = RunStore(node.config.store_dir).events(engine.run_id)[-1]
+    assert (last["event"], last["state"]) == ("run-finished", "CANCELLED")
     # a finished within the grace; b never started
     records = node.store.query_run(engine.run_id)
     assert [(r.instance_id, r.status) for r in records] == [("src", "ok"), ("a", "ok")]

@@ -838,3 +838,4 @@ def test_a_fresh_node_writes_only_what_it_uses(make_node, tmp_path):
     assert (root / "store" / "runs" / "r1" / "records.log").is_file()
     assert sorted(p.name for p in root.iterdir()) == [
         "groups", "node_id", "store", "tools", "work"]
+    node.store.close_run("r1", "COMPLETED")

@@ -108,7 +108,9 @@ def test_failed_record_roundtrip():
 def store(tmp_path):
     store = RunStore(tmp_path / "store")
     yield store
-    store.close()
+    for run in store.list_runs():  # closes the handles of the runs a test left open
+        if run["state"] == "RUNNING":
+            store.close_run(run["run_id"], "CANCELLED")
 
 
 def test_open_run_layout(store):
@@ -156,11 +158,20 @@ def test_duplicate_detected_across_reopen(tmp_path):
     first = RunStore(tmp_path / "store")
     first.open_run("r1", WORKFLOW_TEXT)
     first.record_execution("r1", *execution(record(seq=0, inst="a", idx=1)))
-    # a fresh handle over the same directory still sees the key
+    first.flush("r1")
+    log = tmp_path / "store" / "runs" / "r1" / "records.log"
+    written = log.read_bytes()
+    # only the store that opened a run appends to it, a duplicate or not
     second = RunStore(tmp_path / "store")
-    with pytest.raises(DataError):
-        second.record_execution("r1", *execution(record(seq=1, inst="a", idx=1)))
-    assert len(second.query_run("r1")) == 1
+    for rec in (record(seq=1, inst="a", idx=1), record(seq=1, inst="a", idx=2)):
+        with pytest.raises(DataError) as err:
+            second.record_execution("r1", *execution(rec))
+        assert err.value.code == "RUN_CLOSED"
+    with pytest.raises(DataError) as err:
+        second.append_event("r1", 10, "late")
+    assert err.value.code == "RUN_CLOSED"
+    assert log.read_bytes() == written and len(second.query_run("r1")) == 1
+    first.close_run("r1", "COMPLETED")
 
 
 def test_records_may_only_reference_stored_blobs(store):
@@ -211,7 +222,7 @@ def test_closing_a_run_frees_its_key_set(tmp_path, monkeypatch):
     store.open_run("r1", WORKFLOW_TEXT)
     store.record_execution("r1", *execution(record(seq=0)))
     store.close_run("r1", "COMPLETED")
-    assert "r1" not in store._seen_keys
+    assert "r1" not in store._open
 
     def rescan(*args, **kwargs):
         raise AssertionError("a closed run's keys were rebuilt")
@@ -220,7 +231,7 @@ def test_closing_a_run_frees_its_key_set(tmp_path, monkeypatch):
     with pytest.raises(DataError) as err:
         store.record_execution("r1", *execution(record(seq=1, inst="late")))
     assert err.value.code == "RUN_CLOSED"
-    assert "r1" not in store._seen_keys
+    assert "r1" not in store._open
 
 
 def test_list_runs(store):
@@ -318,6 +329,7 @@ def test_torn_last_line_is_ignored(store, tmp_path):
 def test_undecodable_inner_line_is_corrupt(store, tmp_path):
     store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
+    store.flush("r1")
     log = tmp_path / "store" / "runs" / "r1" / "records.log"
     with open(log, "a") as fh:
         fh.write("{not json\n")
@@ -340,6 +352,7 @@ def test_undecodable_inner_line_is_corrupt(store, tmp_path):
 def test_a_bad_inner_line_is_corrupt_to_every_reader(store, tmp_path, bad_line):
     store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
+    store.flush("r1")
     log = tmp_path / "store" / "runs" / "r1" / "records.log"
     with open(log, "ab") as fh:
         fh.write(bad_line)
@@ -540,11 +553,14 @@ def test_a_second_store_sees_each_line_as_it_is_appended(tmp_path):
     reader = RunStore(tmp_path / "store")
     writer.open_run("r1", WORKFLOW_TEXT)
     writer.append_event("r1", 10, "run-started")
+    writer.flush("r1")
     assert [e["event"] for e in reader.events("r1")] == ["run-started"]
     for idx in range(1, 4):
         writer.record_execution("r1", *execution(record(seq=idx, idx=idx)))
+        writer.flush("r1")
         assert len(reader.query_run("r1")) == idx
         writer.append_event("r1", 10 + idx, f"tick-{idx}")
+        writer.flush("r1")
         assert len(reader.events("r1")) == idx + 1
     writer.close_run("r1", "COMPLETED")
     assert reader.run_state("r1") == "COMPLETED"
@@ -568,10 +584,10 @@ def test_appends_to_an_open_run_read_no_run_json(store, monkeypatch):
 def test_close_run_closes_and_drops_the_handle(store):
     store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
-    log = store._logs["r1"]
+    log, _ = store._open["r1"]
     store.close_run("r1", "COMPLETED")
     assert log.closed
-    assert "r1" not in store._logs
+    assert "r1" not in store._open
     with pytest.raises(DataError) as err:
         store.append_event("r1", 30, "late")
     assert err.value.code == "RUN_CLOSED"
@@ -584,15 +600,19 @@ def test_close_run_closes_and_drops_the_handle(store):
 @pytest.mark.parametrize("buffered", [False, True])
 def test_closing_a_run_whose_run_json_is_gone_still_writes_its_lines(store, tmp_path,
                                                                      buffered):
-    store.open_run("r1", WORKFLOW_TEXT, buffered=buffered)
+    """The lines reach records.log whether they were flushed before run.json
+    went (``buffered`` False) or still wait in the io buffer at close."""
+    store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
     store.record_execution("r1", *execution(record()))
-    log = store._logs["r1"]
+    if not buffered:
+        store.flush("r1")
+    log, _ = store._open["r1"]
     (tmp_path / "store" / "runs" / "r1" / "run.json").unlink()
     with pytest.raises(DataError) as err:
         store.close_run("r1", "COMPLETED")
     assert err.value.code == "NOT_FOUND"
-    assert log.closed and "r1" not in store._logs
+    assert log.closed and "r1" not in store._open
     assert [e["event"] for e in store.events("r1")] == ["run-started"]
     assert len(store.query_run("r1")) == 1
 
@@ -615,12 +635,33 @@ def test_a_log_that_cannot_be_written_still_closes_run_json(store, monkeypatch):
             raise OSError(errno.ENOSPC, "No space left on device")
 
     open_records_log_over(monkeypatch, FullDisk)
-    store.open_run("r1", WORKFLOW_TEXT, buffered=True)
+    store.open_run("r1", WORKFLOW_TEXT)
     store.append_event("r1", 10, "run-started")
-    log = store._logs["r1"]
+    log, _ = store._open["r1"]
     with pytest.raises(OSError):
         store.close_run("r1", "FAILED")
     assert log.closed and store.run_state("r1") == "FAILED"
+
+
+def test_a_disk_that_fills_during_a_run_fails_it_within_the_run_thread(node, monkeypatch,
+                                                                       caplog):
+    class FillingDisk(io.FileIO):
+        room = 20_000
+
+        def write(self, data):
+            if len(data) > self.room:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.room -= len(data)
+            return super().write(data)
+
+    open_records_log_over(monkeypatch, FillingDisk)
+    engine = node.start_run(grid_loop("full", 500))
+    assert engine.wait(60) == "FAILED"
+    assert engine.failure["code"] == "INTERNAL"
+    assert node.store.run_state(engine.run_id) == "FAILED"
+    assert engine.run_id not in node.store._open
+    [logged] = [r for r in caplog.records if r.name == "toolgrid.engine"]
+    assert "No space left on device" in str(logged.exc_info[1])
 
 
 def test_a_run_writes_its_records_log_in_few_large_writes(node, monkeypatch):
@@ -677,32 +718,6 @@ def test_a_records_log_cut_anywhere_reads_as_a_prefix_of_the_run(node, tmp_path,
         assert seen == records[:len(seen)] and seen_events == events[:len(seen_events)]
         assert len(seen) + len(seen_events) == data[:size].count(b"\n"), size
     assert (seen, seen_events) == (records, events)
-
-
-def test_closing_the_store_keeps_open_runs_readable(store):
-    store.open_run("r1", WORKFLOW_TEXT)
-    store.append_event("r1", 10, "run-started")
-    log = store._logs["r1"]
-    store.close()
-    assert log.closed and store._logs == {}
-    assert store.run_state("r1") == "RUNNING"
-    assert [e["event"] for e in store.events("r1")] == ["run-started"]
-    # appends still work, reopening the file each time
-    store.record_execution("r1", *execution(record()))
-    store.close_run("r1", "COMPLETED")
-    assert len(store.query_run("r1")) == 1
-
-
-def test_node_stop_closes_the_handles_of_open_runs(make_node):
-    node = make_node("holder")
-    node.store.open_run("r1", WORKFLOW_TEXT)
-    node.store.append_event("r1", 10, "run-started")
-    log = node.store._logs["r1"]
-    node.stop()
-    assert log.closed
-    reader = RunStore(node.config.store_dir)
-    assert reader.run_state("r1") == "RUNNING"
-    assert [e["event"] for e in reader.events("r1")] == ["run-started"]
 
 
 def test_the_readme_lists_the_execution_record_keys_in_field_order():
